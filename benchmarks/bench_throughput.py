@@ -9,7 +9,11 @@ Two sections:
 
 * ``ecdsa`` — signs/sec and verifies/sec for the windowed fixed-base /
   Shamir fast path against the naive double-and-add ladder, measured in the
-  same run so the speedup factors are apples-to-apples.
+  same run so the speedup factors are apples-to-apples, plus
+  ``verify_batch_distinct_us``: the per-signature cost of one
+  ``verify_digests`` call over 64 distinct cold keys (the cross-key
+  aggregate).  The run fails if that exceeds twice ``verify_fast_us``, the
+  hot-key cost.
 * ``append`` — appends/sec for ``Ledger.append_batch`` against sequential
   ``Ledger.append`` on a durable file-backed ledger with a clue-heavy
   workload (five clues per journal, as in the paper's N-lineage scenarios).
@@ -74,8 +78,42 @@ def _time_per_call(fn, iterations: int) -> float:
     return best
 
 
-def bench_ecdsa(iterations: int, naive_iterations: int) -> dict:
+#: Distinct keys in the cold batch of ``verify_batch_distinct_us``.
+DISTINCT_BATCH_KEYS = 64
+#: The cold distinct-key batch may cost at most this many hot-key verifies
+#: per signature.
+DISTINCT_BATCH_MAX_RATIO = 2.0
+
+
+def _distinct_key_batch_us(repeats: int) -> float:
+    """Best-of-``repeats`` microseconds per signature of one ``verify_digests``
+    call over DISTINCT_BATCH_KEYS keys that have no cached window table."""
+    rng = random.Random(0xD157)
+    checks = []
+    for _ in range(DISTINCT_BATCH_KEYS):
+        secret = rng.randrange(1, ecdsa.CURVE_P256.n)
+        digest = hashlib.sha256(rng.randbytes(16)).digest()
+        checks.append(
+            (ecdsa.derive_public_key(secret), digest, ecdsa.sign_digest(secret, digest))
+        )
+    best = float("inf")
+    for _ in range(repeats):
+        # Every repeat is a first sight of its keys: no table, no use count.
+        ecdsa.clear_fast_path_caches()
+        ecdsa.scalar_multiply_base(1)  # the shared generator table
+        start = time.perf_counter()
+        verdicts = ecdsa.verify_digests(checks)
+        best = min(best, time.perf_counter() - start)
+        if not all(verdicts):
+            raise RuntimeError("distinct-key batch rejected an honest signature")
+        if ecdsa._PUBKEY_TABLES:
+            raise RuntimeError("a first-sight batch built a key table")
     ecdsa.clear_fast_path_caches()
+    return best / len(checks) * 1e6
+
+
+def bench_ecdsa(iterations: int, naive_iterations: int) -> dict:
+    distinct_us = _distinct_key_batch_us(repeats=3)
     rng = random.Random(0xBE7C)
     secret = rng.randrange(1, ecdsa.CURVE_P256.n)
     public = ecdsa.derive_public_key(secret)
@@ -102,6 +140,8 @@ def bench_ecdsa(iterations: int, naive_iterations: int) -> dict:
         "verify_naive_us": verify_naive * 1e6,
         "verify_speedup": verify_naive / verify_fast,
         "verifies_per_sec": 1.0 / verify_fast,
+        "verify_batch_distinct_us": distinct_us,
+        "verify_batch_distinct_ratio": distinct_us / (verify_fast * 1e6),
     }
 
 
@@ -257,10 +297,20 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"\nsign {ecdsa_report['sign_speedup']:.1f}x, "
         f"verify {ecdsa_report['verify_speedup']:.1f}x, "
+        f"64-key cold batch {ecdsa_report['verify_batch_distinct_ratio']:.2f}x hot verify, "
         f"append_batch {append_report['batch_speedup']:.2f}x "
         f"(report: {args.out})",
         file=sys.stderr,
     )
+    if ecdsa_report["verify_batch_distinct_ratio"] > DISTINCT_BATCH_MAX_RATIO:
+        print(
+            f"FAIL: a {DISTINCT_BATCH_KEYS}-key cold batch costs "
+            f"{ecdsa_report['verify_batch_distinct_us']:.0f} us/signature, more "
+            f"than {DISTINCT_BATCH_MAX_RATIO:g}x the hot-key verify "
+            f"({ecdsa_report['verify_fast_us']:.0f} us)",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

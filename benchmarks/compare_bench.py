@@ -38,6 +38,7 @@ from pathlib import Path
 GATED_METRICS = (
     ("ecdsa", "sign_fast_us"),
     ("ecdsa", "verify_fast_us"),
+    ("ecdsa", "verify_batch_distinct_us"),
     ("append", "sequential_us_per_append"),
     ("append", "batch_us_per_append"),
 )

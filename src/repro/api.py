@@ -471,7 +471,6 @@ class LedgerSession(SessionHelpers):
         client_id: str | None = None,
         keypair: KeyPair | None = None,
         requests: list[ClientRequest] | None = None,
-        max_workers: int | None = None,
         timeout: float | None = None,
     ) -> list[Receipt]:
         """Append many transactions through one amortised pass.
@@ -506,7 +505,7 @@ class LedgerSession(SessionHelpers):
         if self.service is not None:
             futures = [self.service.submit(request) for request in requests]
             return [future.result(timeout) for future in futures]
-        return self.ledger.append_batch(requests, max_workers=max_workers)
+        return self.ledger.append_batch(requests)
 
     def append_acked(
         self,

@@ -22,29 +22,32 @@ re-derives everything else itself:
 The final proof is the conjunction; any sub-proof failure terminates the
 audit early with a failed report, as Definition 1 requires.
 
-Parallel mode (``workers >= 1``)
---------------------------------
+Chunks, inline (``workers=0``) or on a pool
+-------------------------------------------
 
 The replay fold itself is inherently sequential — each root depends on every
 digest before it — but almost all of the audit's *time* goes into ECDSA:
-one client-signature check per journal, the Π1/Π2 multi-signatures, and the
-TSA evidence behind every time anchor.  The engine therefore splits roles:
+one client-signature check per journal, one CA signature per certificate,
+the Π1/Π2 multi-signatures, and the TSA evidence behind every time anchor.
+The engine therefore splits roles:
 
 * the **coordinator** runs the fold (decode, digest, fam/CM-Tree, block
   boundaries) and buffers the per-journal signature checks into fixed-size
-  chunks, dispatched to a worker pool (fork-based processes when available,
-  threads otherwise) where :func:`~repro.crypto.ecdsa.verify_digests`
-  batch-verifies each chunk with shared inversions.  Chunks are in flight
-  *while* the fold advances — the two workloads overlap;
-* Π1/Π2 approvals and time-journal evidence ship to the same pool as
-  per-record / chunked tasks.
+  chunks; :func:`~repro.crypto.keys.verify_batch` checks each chunk with
+  one randomised aggregate equation across all of its member keys, and the
+  certificates go the same way in chunks.  The sequential engine
+  (``workers=0``) runs every chunk inline as it fills; the parallel engine
+  dispatches them to a worker pool (fork-based processes when available,
+  threads otherwise), so chunks are in flight *while* the fold advances;
+* Π1/Π2 approvals and time-journal evidence go through the same submit
+  path as per-record / chunked tasks.
 
-Determinism: workers return raw verdicts, never report steps.  The
-coordinator converts every failure — inline or chunked — into a
+Determinism: chunks return raw verdicts, never report steps.  The
+coordinator converts every failure — fold-side or chunked — into a
 ``(jsn, priority)``-keyed candidate mirroring the exact check order of the
 sequential loop, and the merged first failure (message, counters, and all)
-is byte-identical to what the sequential engine reports, regardless of
-worker count, chunk size, or scheduling.  ``tests/test_audit_parallel.py``
+is the check a one-journal-at-a-time replay would trip on first,
+regardless of worker count, chunk size, or scheduling.  ``tests/test_audit_parallel.py``
 pins this with :meth:`AuditReport.canonical` equality on honest *and*
 tampered ledgers.
 
@@ -62,6 +65,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 
 from .. import obs
+from ..crypto.ca import verify_certificates
 from ..crypto.hashing import EMPTY_DIGEST, Digest, clue_key_hash
 from ..crypto.keys import PublicKey
 from ..merkle.cmtree import encode_clue_value
@@ -72,7 +76,6 @@ from .checkpoint import AuditCheckpoint, CheckpointStore
 from .report import AuditReport, AuditStep
 from .workers import (
     check_time_evidence_chunk,
-    verify_certificate_chunk,
     verify_multisig_task,
     verify_signature_chunk,
 )
@@ -111,8 +114,7 @@ def _schedulable_cpus() -> int:
 def _make_pool(workers: int, kind: str):
     """Build the worker pool: fork processes when possible, else threads.
 
-    Process pools beat the GIL for the pure-Python ECDSA hot loop; the fork
-    start method also inherits the parent's warmed window tables for free.
+    Process pools beat the GIL for the pure-Python ECDSA hot loop.
     Environments without working fork (or with ``kind='thread'``) fall back
     to a thread pool — slower, but semantically identical.  ``auto`` also
     degrades to threads when only one CPU is schedulable: forked workers
@@ -181,14 +183,6 @@ class _AuditEngine:
 
     def _ensure_pool(self):
         if self._pool is None:
-            from ..crypto.ecdsa import warm_tables
-
-            # Warm the shared window tables before forking so every child
-            # inherits them instead of rebuilding per process.
-            warm_tables(
-                certificate.public_key.point
-                for certificate in self.view.certificates.values()
-            )
             self._pool, kind = _make_pool(self.workers, self.pool_kind)
             obs.set_gauge("audit.workers", self.workers)
             obs.inc(f"audit.pool.{kind}")
@@ -202,7 +196,14 @@ class _AuditEngine:
             self._pool = None
 
     def _submit(self, fn, *args) -> Future:
-        return self._ensure_pool().submit(fn, *args)
+        """Run a chunk function on the pool — or, for the sequential engine,
+        inline into an already-resolved future, so both engines share one
+        chunk-and-merge path."""
+        if self.workers:
+            return self._ensure_pool().submit(fn, *args)
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
 
     def _chunked(self, items: list, size: int | None = None) -> list[list]:
         size = size or self.chunk_size
@@ -214,21 +215,12 @@ class _AuditEngine:
         with obs.span("audit.certificates") as sp:
             certificates = self.view.certificates
             sp.add("members", len(certificates))
-            if self.workers:
-                chunks = self._chunked(list(certificates.values()))
-                futures = [
-                    self._submit(verify_certificate_chunk, chunk, self.view.ca_public_key)
-                    for chunk in chunks
-                ]
-                verdicts = [ok for future in futures for ok in future.result()]
-            else:
-                verdicts = None
-            for index, (member_id, certificate) in enumerate(certificates.items()):
-                valid = (
-                    verdicts[index]
-                    if verdicts is not None
-                    else certificate.verify(self.view.ca_public_key)
-                )
+            futures = [
+                self._submit(verify_certificates, chunk, self.view.ca_public_key)
+                for chunk in self._chunked(list(certificates.values()))
+            ]
+            verdicts = [ok for future in futures for ok in future.result()]
+            for valid, (member_id, certificate) in zip(verdicts, certificates.items()):
                 if not valid:
                     return self._step(
                         "certificates", False, f"CA signature invalid for {member_id!r}"
@@ -302,7 +294,7 @@ class _AuditEngine:
             for jsn, record, approvals in records:
                 detail, signer_certs = structural(jsn, record, approvals)
                 outcomes.append((detail, signer_certs))
-                if detail is None and self.workers:
+                if detail is None:
                     futures.append(
                         self._submit(verify_multisig_task, approvals, signer_certs)
                     )
@@ -313,11 +305,7 @@ class _AuditEngine:
             ):
                 if detail is not None:
                     return self._step(step_name, False, detail)
-                error = (
-                    future.result()
-                    if future is not None
-                    else verify_multisig_task(approvals, signer_certs)
-                )
+                error = future.result()
                 if error is not None:
                     return self._step(step_name, False, f"{noun}@{jsn}: {error}")
                 if post is not None:
@@ -528,28 +516,20 @@ class _AuditEngine:
                             jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature"
                         )
                         break
-                    if self.workers:
-                        point = certificate.public_key.point
-                        chunk_items.append(
-                            (
-                                point.x,
-                                point.y,
-                                journal.request_hash,
-                                journal.client_signature.to_bytes(),
-                            )
+                    point = certificate.public_key.point
+                    chunk_items.append(
+                        (
+                            point.x,
+                            point.y,
+                            journal.request_hash,
+                            journal.client_signature.to_bytes(),
                         )
-                        chunk_jsns.append(jsn)
-                        if len(chunk_items) >= self.chunk_size:
-                            flush_chunk()
-                            if sig_failures:
-                                break
-                    elif not certificate.public_key.verify(
-                        journal.request_hash, journal.client_signature
-                    ):
-                        inline_failure = (
-                            jsn, _P_SIGNATURE, f"jsn {jsn}: invalid issuer signature"
-                        )
-                        break
+                    )
+                    chunk_jsns.append(jsn)
+                    if len(chunk_items) >= self.chunk_size:
+                        flush_chunk()
+                        if sig_failures:
+                            break
                 if journal.journal_type is JournalType.TIME:
                     info = parse_time_journal(journal)
                     # The anchor was taken immediately before this journal
@@ -701,30 +681,18 @@ class _AuditEngine:
 
     def check_time_journals(self) -> bool:
         """TSA evidence for every (in-range) time journal, plus monotonicity."""
-        from ..core.verification import check_time_evidence
-
         with obs.span("audit.time_journals") as sp:
             entries = self._time_entries
             sp.add("anchors", len(entries))
-            if self.workers and entries:
-                payload = [
-                    (info, self.view.time_evidence.get(jsn)) for jsn, info in entries
-                ]
-                futures = [
-                    self._submit(check_time_evidence_chunk, chunk, self.tsa_keys)
-                    for chunk in self._chunked(payload)
-                ]
-                results = [item for future in futures for item in future.result()]
-            else:
-                results = None
+            payload = [(info, self.view.time_evidence.get(jsn)) for jsn, info in entries]
+            futures = [
+                self._submit(check_time_evidence_chunk, chunk, self.tsa_keys)
+                for chunk in self._chunked(payload)
+            ]
+            results = [item for future in futures for item in future.result()]
             previous_timestamp = float("-inf")
             verified = 0
-            for index, (jsn, info) in enumerate(entries):
-                if results is not None:
-                    timestamp, valid = results[index]
-                else:
-                    evidence = self.view.time_evidence.get(jsn)
-                    timestamp, valid = check_time_evidence(info, evidence, self.tsa_keys)
+            for (jsn, _info), (timestamp, valid) in zip(entries, results):
                 if self.temporal_range is not None:
                     low, high = self.temporal_range
                     if not low <= timestamp <= high:

@@ -1,10 +1,12 @@
-"""Worker-side functions for the parallel audit engine.
+"""Chunk functions of the audit engine, on a worker pool or inline.
 
 Every function here is a plain module-level callable so it pickles by
 reference into a ``ProcessPoolExecutor`` (and runs unchanged on a thread
-pool).  Payloads are deliberately small and flat: per-journal client
-signatures travel as ``(x, y, digest, signature_bytes)`` tuples — a few
-hundred bytes per check — never as whole journals or views.
+pool, or inline in the sequential engine).  Payloads are deliberately small
+and flat: per-journal client signatures travel as ``(x, y, digest,
+signature_bytes)`` tuples — a few hundred bytes per check — never as whole
+journals or views.  Certificate chunks go straight to
+:func:`repro.crypto.ca.verify_certificates`.
 
 Each function returns *data* (verdict lists, error strings), not report
 steps: the coordinator owns ordering, message selection, and the
@@ -14,12 +16,12 @@ chunks were scheduled.
 
 from __future__ import annotations
 
-from ..crypto.ecdsa import Point, Signature, verify_digests
+from ..crypto.ecdsa import Point, Signature
+from ..crypto.keys import PublicKey, verify_batch
 from ..crypto.multisig import MultiSignatureError
 
 __all__ = [
     "verify_signature_chunk",
-    "verify_certificate_chunk",
     "verify_multisig_task",
     "check_time_evidence_chunk",
 ]
@@ -29,7 +31,8 @@ SignatureItem = tuple[int, int, bytes, bytes]
 
 
 def verify_signature_chunk(items: list[SignatureItem]) -> list[bool]:
-    """Batch-verify one chunk of raw ECDSA checks (shared s^-1 inversions)."""
+    """Batch-verify one chunk of raw ECDSA checks: one aggregate equation
+    across every member key, exact verdicts in input order."""
     checks = []
     malformed = [False] * len(items)
     for index, (x, y, digest, sig_bytes) in enumerate(items):
@@ -38,14 +41,9 @@ def verify_signature_chunk(items: list[SignatureItem]) -> list[bool]:
         except ValueError:
             malformed[index] = True
             signature = Signature(0, 0)  # fails range check, never verifies
-        checks.append((Point(x, y), digest, signature))
-    verdicts = verify_digests(checks)
+        checks.append((PublicKey(Point(x, y)), digest, signature))
+    verdicts = verify_batch(checks)
     return [ok and not bad for ok, bad in zip(verdicts, malformed)]
-
-
-def verify_certificate_chunk(certificates: list, ca_public_key) -> list[bool]:
-    """Verify a chunk of CA certificate signatures; verdicts in input order."""
-    return [certificate.verify(ca_public_key) for certificate in certificates]
 
 
 def verify_multisig_task(approvals, signer_certs: dict) -> str | None:

@@ -90,7 +90,6 @@ class LedgerClient:
     def append_batch(
         self,
         items: list[tuple[bytes, tuple[str, ...]]],
-        max_workers: int | None = None,
     ) -> list[Receipt]:
         """Sign and submit many ``(payload, clues)`` transactions at once.
 
@@ -116,7 +115,7 @@ class LedgerClient:
                 ).signed_by(self.keypair)
             )
         try:
-            receipts = self.ledger.append_batch(requests, max_workers=max_workers)
+            receipts = self.ledger.append_batch(requests)
         except Exception:
             self._nonce = first_nonce
             raise

@@ -506,9 +506,7 @@ class Ledger:
                 )
             return self._commit(request)
 
-    def append_batch(
-        self, requests: list[ClientRequest], max_workers: int | None = None
-    ) -> list[Receipt]:
+    def append_batch(self, requests: list[ClientRequest]) -> list[Receipt]:
         """Admit many client transactions in one amortised pass.
 
         Produces state and receipts **byte-identical** to calling
@@ -517,12 +515,10 @@ class Ledger:
 
         * phase 1 — *admission*: every certificate and pi_c signature is
           validated before anything is written, so a single bad request
-          rejects the whole batch with the ledger untouched.  Public keys
-          appearing more than once are table-precomputed first; with
-          ``max_workers`` the signature checks fan out over threads (pure
-          Python stays GIL-bound — the option exists for subinterpreter /
-          free-threaded builds and keeps the API shape of the paper's
-          pipelined verifier).
+          rejects the whole batch with the ledger untouched.  The signatures
+          are checked by :func:`~repro.crypto.keys.verify_batch`: one
+          randomised aggregate equation across every member key, with exact
+          per-item verdicts.
         * phase 2 — *commit*: one stream write (one fsync on durable
           streams), per-clue grouped CM-Tree insertion flushed at each block
           boundary, and fam/receipt work per journal.  Block seals land at
@@ -533,7 +529,7 @@ class Ledger:
         with obs.span("ledger.append_batch") as span:
             span.add("journals", len(requests))
             with obs.span("ledger.admission"):
-                self._admit_batch(requests, max_workers)
+                self._admit_batch(requests)
             with obs.span("ledger.commit_batch"):
                 return self._commit_batch(requests)
 
@@ -549,11 +545,9 @@ class Ledger:
         Raises:
             AuthenticationError: the request would be rejected at admission.
         """
-        self._admit_batch([request], None)
+        self._admit_batch([request])
 
-    def _admit_batch(
-        self, requests: list[ClientRequest], max_workers: int | None
-    ) -> None:
+    def _admit_batch(self, requests: list[ClientRequest]) -> None:
         """Phase 1 of :meth:`append_batch`: authenticate every request."""
         certificates = []
         for request in requests:
@@ -567,30 +561,12 @@ class Ledger:
             for request in requests:
                 if request.signature is None:
                     raise AuthenticationError("request is unsigned")
-            counts: dict[str, int] = {}
-            for request in requests:
-                counts[request.client_id] = counts.get(request.client_id, 0) + 1
-            warmed: set[str] = set()
-            for request, certificate in zip(requests, certificates):
-                if counts[request.client_id] > 1 and request.client_id not in warmed:
-                    warmed.add(request.client_id)
-                    try:
-                        certificate.public_key.precompute()
-                    except ValueError:
-                        pass  # invalid key: the verify below rejects it
-            checks = [
-                (certificate.public_key, request.request_hash(), request.signature)
-                for request, certificate in zip(requests, certificates)
-            ]
-            if max_workers is not None and max_workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    results = list(
-                        pool.map(lambda c: c[0].verify(c[1], c[2]), checks)
-                    )
-            else:
-                results = verify_batch(checks)
+            results = verify_batch(
+                [
+                    (certificate.public_key, request.request_hash(), request.signature)
+                    for request, certificate in zip(requests, certificates)
+                ]
+            )
             for request, ok in zip(requests, results):
                 if not ok:
                     raise AuthenticationError(

@@ -14,9 +14,15 @@ from enum import Enum
 
 from .ecdsa import Signature
 from .hashing import sha256
-from .keys import KeyPair, PublicKey
+from .keys import KeyPair, PublicKey, verify_batch
 
-__all__ = ["Role", "Certificate", "CertificateAuthority", "CertificateError"]
+__all__ = [
+    "Role",
+    "Certificate",
+    "CertificateAuthority",
+    "CertificateError",
+    "verify_certificates",
+]
 
 
 class CertificateError(Exception):
@@ -50,6 +56,27 @@ class Certificate:
     def verify(self, ca_public_key: PublicKey) -> bool:
         """Check that ``ca_public_key`` signed this certificate."""
         return ca_public_key.verify(sha256(self.signing_payload()), self.signature)
+
+
+def verify_certificates(
+    certificates: list[Certificate], ca_public_key: PublicKey
+) -> list[bool]:
+    """:meth:`Certificate.verify` for many certificates, in one batch.
+
+    Every certificate is signed by the same CA key, so the whole list is one
+    aggregate equation (:func:`~repro.crypto.keys.verify_batch`).  Verdicts
+    are per certificate, in input order; an unsigned certificate fails.
+    """
+    checks = [
+        (ca_public_key, sha256(certificate.signing_payload()), certificate.signature)
+        for certificate in certificates
+        if certificate.signature is not None
+    ]
+    verdicts = iter(verify_batch(checks))
+    return [
+        certificate.signature is not None and next(verdicts)
+        for certificate in certificates
+    ]
 
 
 def _certificate_payload(

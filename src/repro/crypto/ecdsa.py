@@ -19,9 +19,10 @@ admission, pi_s receipts), the module carries two implementations:
 * a **fast path** used by default: windowed fixed-base tables with affine
   entries (:class:`FixedWindowTable`, shared per-curve generator tables built
   lazily), Strauss–Shamir dual-scalar multiplication for the uncached verify
-  (:func:`shamir_multiply`), and an LRU of per-public-key window tables so the
-  LSP workload — many verifications of the same few clients — skips the
-  doubling ladder entirely.
+  (:func:`shamir_multiply`), an LRU of per-public-key window tables so single
+  verifications of hot keys skip the doubling ladder entirely, and
+  :func:`verify_digests`, which checks a whole batch — whatever its keys —
+  with one randomised aggregate equation.
 
 Both paths produce identical signatures (RFC 6979 is deterministic) and are
 cross-checked in ``tests/test_ecdsa_fastpath.py``.  This is a faithful,
@@ -58,7 +59,6 @@ __all__ = [
     "shamir_multiply",
     "precompute_public_key",
     "clear_fast_path_caches",
-    "warm_tables",
 ]
 
 
@@ -275,10 +275,12 @@ def derive_public_key(secret: int, curve: Curve = CURVE_P256) -> Point:
 #   Montgomery's batch-inversion trick, so the hot loop uses the cheaper
 #   mixed Jacobian+affine addition formula (7M + 4S).
 # * The per-curve generator table serves ``sign_digest`` (k*G) and the u1*G
-#   half of verification; per-public-key tables are built lazily and kept in
-#   an LRU so repeat verifications of the same client reuse them.
+#   half of verification; per-public-key tables are built lazily by single
+#   verifications of hot keys and kept in an LRU.
 # * ``shamir_multiply`` computes u1*G + u2*Q in one interleaved pass sharing
-#   a single doubling chain — the fast path for keys not (yet) in the LRU.
+#   a single doubling chain — the single-verify path for keys not in the LRU.
+# * ``_straus_sum`` is the multi-scalar form of the same idea (interleaved
+#   wNAF over many points), the engine of the batch verifier.
 # ---------------------------------------------------------------------------
 
 
@@ -463,6 +465,11 @@ PUBKEY_WINDOW = 6
 PUBKEY_CACHE_SIZE = 128
 #: A key's table is built on its Nth verification (1 = build immediately).
 PUBKEY_CACHE_THRESHOLD = 2
+#: Batches build tables only while at most this many would be cached.  A
+#: few steady keys (a service's clients, the LSP key behind receipts) then
+#: go hot as under single verifies, but a large member population is served
+#: by the aggregate without tables and can never churn the LRU.
+PUBKEY_BATCH_TABLES = PUBKEY_CACHE_SIZE // 8
 
 _GEN_TABLES: dict[str, FixedWindowTable] = {}
 _PUBKEY_TABLES: "OrderedDict[tuple[str, int, int], FixedWindowTable]" = OrderedDict()
@@ -485,9 +492,10 @@ def scalar_multiply_base(k: int, curve: Curve = CURVE_P256) -> Point:
 def precompute_public_key(point: Point, curve: Curve = CURVE_P256) -> FixedWindowTable:
     """Build (or refresh) the cached window table for a public key.
 
-    Callers that know a key is about to verify many signatures — e.g. the
-    batched append pipeline — use this to pay the table build once up front.
-    The caller is responsible for only passing on-curve points.
+    Verifications call this on a key's PUBKEY_CACHE_THRESHOLD-th use;
+    callers that know a key is about to verify many signatures may pay the
+    build up front.  The caller is responsible for only passing on-curve
+    points.
     """
     key = (curve.name, point.x, point.y)
     table = _PUBKEY_TABLES.get(key)
@@ -518,20 +526,6 @@ def clear_fast_path_caches() -> None:
     _GEN_TABLES.clear()
     _PUBKEY_TABLES.clear()
     _PUBKEY_SEEN.clear()
-
-
-def warm_tables(points=(), curve: Curve = CURVE_P256) -> None:
-    """Eagerly build the generator table (and tables for ``points``).
-
-    A fork-based worker pool inherits the parent's caches by copy-on-write,
-    so warming them once before forking gives every worker the fast path for
-    free instead of each child rebuilding tables on first use.  Off-curve or
-    identity points are skipped (they can never verify anyway).
-    """
-    _generator_table(curve)
-    for point in points:
-        if not point.is_infinity() and is_on_curve(point, curve):
-            precompute_public_key(point, curve)
 
 
 def _shamir_jacobian(
@@ -704,24 +698,26 @@ def _sign_digests_batched(
     return out
 
 
-def _resolve_pubkey_table(public_key: Point, curve: Curve):
+def _lookup_pubkey_table(public_key: Point, curve: Curve):
     """Validate a verification key and look up its cached window table.
 
-    Returns ``(usable, table_or_None)``.  A cached table implies the key was
-    already checked on-curve, so the hit path skips that work entirely.
+    Returns ``(usable, table_or_None)`` and never builds a table.  A cached
+    table implies the key was already checked on-curve, so the hit path
+    skips that work entirely.
     """
     if public_key.is_infinity():
         return False, None
     cache_key = (curve.name, public_key.x, public_key.y)
     table = _PUBKEY_TABLES.get(cache_key)
     if table is not None:
-        _PUBKEY_TABLES.move_to_end(cache_key)
+        try:
+            _PUBKEY_TABLES.move_to_end(cache_key)
+        except KeyError:
+            pass  # evicted by another thread; the table in hand stays valid
         obs.inc("ecdsa.pubkey_cache.hit")
         return True, table
     obs.inc("ecdsa.pubkey_cache.miss")
-    if not is_on_curve(public_key, curve):
-        return False, None
-    return True, _note_pubkey_use(cache_key, public_key, curve)
+    return is_on_curve(public_key, curve), None
 
 
 def _verify_prepared(
@@ -758,33 +754,47 @@ def _verify_prepared(
     return False
 
 
+def _verify_single(
+    public_key: Point, digest: bytes, signature: Signature, curve: Curve
+) -> bool:
+    """One verification; counts the key's use and builds its table when hot."""
+    r, s = signature.r, signature.s
+    if not (1 <= r < curve.n and 1 <= s < curve.n):
+        return False
+    usable, table = _lookup_pubkey_table(public_key, curve)
+    if not usable:
+        return False
+    if table is None:
+        table = _note_pubkey_use(
+            (curve.name, public_key.x, public_key.y), public_key, curve
+        )
+    z = _bits2int(digest, curve.n)
+    w = _inverse_mod(s, curve.n)
+    return _verify_prepared(public_key, z, r, w, table, curve)
+
+
 def verify_digest(
     public_key: Point, digest: bytes, signature: Signature, curve: Curve = CURVE_P256
 ) -> bool:
     """Verify an ECDSA signature over a message digest.
 
     Returns ``False`` (never raises) for malformed signatures or off-curve
-    keys, so callers can treat the result as a plain proof bit.
+    keys, so callers can treat the result as a plain proof bit.  A key's
+    window table is built on its :data:`PUBKEY_CACHE_THRESHOLD`-th
+    verification.
     """
     with obs.span("ecdsa.verify"):
-        r, s = signature.r, signature.s
-        if not (1 <= r < curve.n and 1 <= s < curve.n):
-            return False
-        usable, table = _resolve_pubkey_table(public_key, curve)
-        if not usable:
-            return False
-        z = _bits2int(digest, curve.n)
-        w = _inverse_mod(s, curve.n)
-        return _verify_prepared(public_key, z, r, w, table, curve)
+        return _verify_single(public_key, digest, signature, curve)
 
 
-#: Smallest same-key group worth the aggregated batch equation: below this
-#: the shared G/Q table scans don't amortise over the group.
-BATCH_VERIFY_MIN = 3
-#: Bits of the per-signature randomisers in the aggregate check.  A forged
-#: signature survives aggregation with probability 2^-64 per attempt, and
-#: any aggregate failure falls back to exact per-item verification.
+#: Bits of the per-signature randomisers in the aggregate check.  A batch
+#: holding an invalid signature passes the aggregate with probability about
+#: 2^-63 per attempt, and every aggregate mismatch is settled exactly.
 BATCH_RANDOMIZER_BITS = 64
+#: wNAF width of the per-key scalar sums (256-bit) in the aggregate check.
+BATCH_KEY_WNAF = 5
+#: wNAF width of the randomiser multiples of each R (64-bit scalars).
+BATCH_R_WNAF = 4
 
 #: Secret seed for the batch-randomizer DRBG, drawn from the OS once per
 #: process.  The aggregate check only needs randomizers the signature
@@ -827,59 +837,66 @@ def _r_point_from_hint(r: int, ry: int, curve: Curve) -> tuple[int, int] | None:
     return None
 
 
-def _wnaf(k: int, width: int) -> list[int]:
-    """Little-endian width-w non-adjacent form: odd digits |d| < 2^(w-1)."""
-    digits: list[int] = []
+def _wnaf(k: int, width: int) -> list[tuple[int, int]]:
+    """Width-w non-adjacent form of ``k`` as (bit position, digit) pairs,
+    low to high: odd digits |d| < 2^(w-1), zero runs skipped."""
+    digits: list[tuple[int, int]] = []
     modulus = 1 << width
     half = modulus >> 1
+    position = 0
     while k:
-        if k & 1:
-            d = k & (modulus - 1)
-            if d >= half:
-                d -= modulus
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        d = k & (modulus - 1)
+        if d >= half:
+            d -= modulus
+        digits.append((position, d))
+        # k - d is a multiple of 2^w: the next w bits are zero.
+        k = (k - d) >> width
+        position += width
     return digits
 
 
 def _straus_sum(
-    pairs: list[tuple[int, tuple[int, int]]], curve: Curve
+    terms: list[tuple[int, int, int, int]], curve: Curve
 ) -> tuple[int, int, int]:
-    """``sum(a_i * P_i)`` for small scalars via interleaved wNAF-4.
+    """``sum(k_i * P_i)`` by interleaved wNAF over one doubling chain.
 
-    One doubling chain shared by every point; per point an affine table of
-    {1,3,5,7}·P (one batch normalisation, negations free) and ~bits/5 mixed
-    additions.  Sized for the 64-bit randomisers of the aggregate verify."""
+    ``terms`` holds ``(k, x, y, width)`` per affine point.  Each point gets
+    an affine table of its odd multiples {1, 3, ..., 2^(w-1) - 1}·P — every
+    table normalised together with one batch inversion, negations free —
+    and ~bits/(w+1) mixed additions along the shared chain.  Every point
+    must be finite and on the curve (no small multiple is then the
+    identity on this prime-order group).
+    """
     p = curve.p
     jacobians: list[tuple[int, int, int]] = []
-    for _a, (x, y) in pairs:
-        # Odd multiples via mixed adds against the affine base:
-        # 2P, 4P, 8P by doubling; 3P = 2P+P, 5P = 4P+P, 7P = 8P-P.
-        p2 = _jacobian_double((x, y, 1), curve)
-        p4 = _jacobian_double(p2, curve)
-        p8 = _jacobian_double(p4, curve)
-        jacobians.append(_jacobian_mixed_add(p2, x, y, curve))
-        jacobians.append(_jacobian_mixed_add(p4, x, y, curve))
-        jacobians.append(_jacobian_mixed_add(p8, x, p - y, curve))
-    extras = _batch_to_affine(jacobians, p)
-    # Bucket the nonzero wNAF digits by bit position up front, so the scan
-    # below touches only actual additions (~bits/5 per point) instead of
-    # sweeping every (position, point) cell.
+    for _k, x, y, width in terms:
+        double = _jacobian_double((x, y, 1), curve)
+        odd = _jacobian_mixed_add(double, x, y, curve)  # 3P
+        jacobians.append(odd)
+        for _ in range((1 << (width - 2)) - 2):
+            odd = _jacobian_add(odd, double, curve)
+            jacobians.append(odd)
+    extras = _batch_to_affine(jacobians, p) if jacobians else []
+    # Bucket the nonzero digits by bit position up front, so the scan below
+    # touches only actual additions instead of every (position, point) cell.
     buckets: dict[int, list[tuple[int, int]]] = {}
-    top = 0
-    for i, (a, (x, y)) in enumerate(pairs):
-        table = ((x, y), extras[3 * i], extras[3 * i + 1], extras[3 * i + 2])
-        for position, d in enumerate(_wnaf(a, 4)):
-            if d:
-                x2, y2 = table[(d if d > 0 else -d) >> 1]
-                buckets.setdefault(position, []).append(
-                    (x2, y2 if d > 0 else p - y2)
-                )
-                if position > top:
-                    top = position
+    top = -1
+    offset = 0
+    for k, x, y, width in terms:
+        count = (1 << (width - 2)) - 1
+        table = [(x, y), *extras[offset : offset + count]]
+        offset += count
+        for position, d in _wnaf(k, width):
+            x2, y2 = table[(d if d > 0 else -d) >> 1]
+            bucket = buckets.get(position)
+            if bucket is None:
+                bucket = buckets[position] = []
+            bucket.append((x2, y2 if d > 0 else p - y2))
+            if position > top:
+                top = position
     acc = (1, 1, 0)
     for position in range(top, -1, -1):
         if acc[2]:
@@ -889,58 +906,102 @@ def _straus_sum(
     return acc
 
 
-def _jacobian_eq(
-    a: tuple[int, int, int], b: tuple[int, int, int], p: int
-) -> bool:
-    """Projective equality: X1·Z2² == X2·Z1² and Y1·Z2³ == Y2·Z1³."""
-    if a[2] == 0 or b[2] == 0:
-        return a[2] == b[2]
-    z1sq = a[2] * a[2] % p
-    z2sq = b[2] * b[2] % p
-    if (a[0] * z2sq - b[0] * z1sq) % p:
-        return False
-    return (a[1] * z2sq * b[2] - b[1] * z1sq * a[2]) % p == 0
+#: A prepared batch item: (index, public key, key table or None, z, r, w,
+#: validated affine R from the signer's hint, randomiser a).
+_BatchItem = tuple[int, Point, "FixedWindowTable | None", int, int, int, tuple[int, int], int]
 
 
-def _aggregate_group_verify(
-    group: list[tuple[int, int, int, int]], table, curve: Curve
-) -> bool:
-    """Randomised batch check for same-key signatures carrying their R.
+def _aggregate(items: list[_BatchItem], curve: Curve) -> tuple[int, int, int]:
+    """``sum(a_i·(u1_i·G + u2_i·Q_i - R_i))`` over a batch, whatever the keys.
 
-    ``group`` holds (z, r, w, ry) per signature, ``w = s^-1 mod n``.
-    Checks ``sum(a_i·(u1_i·G + u2_i·Q - R_i)) == O`` for random 64-bit a_i:
-    one generator scan, one key scan, and a small multi-scalar sum replace
-    two full scans per signature.  ``True`` means every signature is valid
-    (soundness error 2^-64); ``False`` means *something* failed — the caller
-    re-verifies per item for exact verdicts.
+    The G terms collapse into one generator-table scan; each distinct key
+    into one scalar — a table scan when its table is cached, otherwise a
+    wNAF term of the shared Straus chain — and the R_i join that chain with
+    their 64-bit randomisers.  The sum is the identity iff (up to the
+    ~2^-63 chance of guessing a secret a_i) every item satisfies
+    ``u1·G + u2·Q = R``; being a group sum it is additive over sub-batches.
     """
     n = curve.n
-    tg = 0
-    tq = 0
-    pairs: list[tuple[int, tuple[int, int]]] = []
-    # Randomizers come from a process-local DRBG, not per-call urandom:
-    # getrandom can cost milliseconds on entropy-starved VMs, which would
-    # dominate small-batch verification.  Unpredictability to the signature
-    # *submitter* is all soundness needs, and a secret-seeded SHA-256
-    # counter stream provides exactly that.
-    width = BATCH_RANDOMIZER_BITS // 8
-    entropy = _randomizer_bytes(width * len(group))
-    mask = (1 << (BATCH_RANDOMIZER_BITS - 1)) - 1
-    for index, (z, r, w, ry) in enumerate(group):
-        r_point = _r_point_from_hint(r, ry, curve)
-        if r_point is None:
-            return False  # corrupt hint: attribute failures per item instead
-        chunk = entropy[index * width : (index + 1) * width]
-        a_i = 1 + (int.from_bytes(chunk, "big") & mask)
-        tg = (tg + a_i * (z * w % n)) % n
-        tq = (tq + a_i * (r * w % n)) % n
-        pairs.append((a_i, r_point))
-    lhs = _jacobian_add(
-        _generator_table(curve).multiply_jacobian(tg),
-        table.multiply_jacobian(tq),
-        curve,
-    )
-    return _jacobian_eq(lhs, _straus_sum(pairs, curve), curve.p)
+    p = curve.p
+    g_scalar = 0
+    keys: dict[tuple[int, int], list] = {}
+    terms: list[tuple[int, int, int, int]] = []
+    for _i, public_key, table, z, r, w, (rx, ry), a in items:
+        g_scalar += a * z * w
+        entry = keys.get((public_key.x, public_key.y))
+        if entry is None:
+            keys[(public_key.x, public_key.y)] = [a * r * w, public_key, table]
+        else:
+            entry[0] += a * r * w
+        terms.append((a, rx, p - ry, BATCH_R_WNAF))  # -a_i·R_i
+    acc = _generator_table(curve).multiply_jacobian(g_scalar % n)
+    for scalar, public_key, table in keys.values():
+        if table is not None:
+            acc = _jacobian_add(acc, table.multiply_jacobian(scalar % n), curve)
+        else:
+            terms.append((scalar % n, public_key.x, public_key.y, BATCH_KEY_WNAF))
+    return _jacobian_add(acc, _straus_sum(terms, curve), curve)
+
+
+def _settle(
+    items: list[_BatchItem],
+    total: tuple[int, int, int],
+    results: list[bool],
+    curve: Curve,
+) -> None:
+    """Write exact verdicts for ``items``, whose aggregate is ``total``.
+
+    An identity aggregate settles every item as valid.  Otherwise the batch
+    splits in halves: the left half's aggregate is computed and the right
+    half's is ``total`` minus it (same randomisers, so no second sum), and
+    each half recurses — one bad signature costs one aggregate per level
+    instead of sending the whole batch to the slow path.  A single item
+    whose own aggregate is not the identity gets the exact verification,
+    which decides it from (r, s) alone (a negated or stale R hint fails the
+    equation but not the signature).
+    """
+    if total[2] == 0:
+        obs.inc("ecdsa.verify_batch.aggregated", len(items))
+        for item in items:
+            results[item[0]] = True
+        return
+    if len(items) == 1:
+        index, public_key, table, z, r, w, _r_point, _a = items[0]
+        results[index] = _verify_prepared(public_key, z, r, w, table, curve)
+        return
+    obs.inc("ecdsa.verify_batch.fallback")
+    middle = len(items) // 2
+    left = _aggregate(items[:middle], curve)
+    x, y, z = left
+    _settle(items[:middle], left, results, curve)
+    _settle(items[middle:], _jacobian_add(total, (x, -y % curve.p, z), curve), results, curve)
+
+
+def _resolve_batch_tables(
+    checks: list[tuple[Point, bytes, Signature]], curve: Curve
+) -> dict[tuple[int, int], tuple[bool, "FixedWindowTable | None"]]:
+    """``(usable, table_or_None)`` per distinct key of a batch.
+
+    A table saves a batch real work only when it removes the batch's
+    256-step doubling chain, i.e. when *every* key has one.  So the batch's
+    cold keys count a use (building on the threshold-th) only if all of
+    them fit within :data:`PUBKEY_BATCH_TABLES`; otherwise they stay cold.
+    """
+    resolved: dict[tuple[int, int], tuple[bool, FixedWindowTable | None]] = {}
+    cold: list[Point] = []
+    for public_key, _digest, _signature in checks:
+        if (public_key.x, public_key.y) not in resolved:
+            usable, table = resolved[(public_key.x, public_key.y)] = (
+                _lookup_pubkey_table(public_key, curve)
+            )
+            if usable and table is None:
+                cold.append(public_key)
+    if cold and len(_PUBKEY_TABLES) + len(cold) <= PUBKEY_BATCH_TABLES:
+        for public_key in cold:
+            cache_key = (curve.name, public_key.x, public_key.y)
+            table = _note_pubkey_use(cache_key, public_key, curve)
+            resolved[(public_key.x, public_key.y)] = (True, table)
+    return resolved
 
 
 def verify_digests(
@@ -948,70 +1009,73 @@ def verify_digests(
 ) -> list[bool]:
     """Verify many ``(public_key, digest, signature)`` triples at once.
 
-    Verdicts match :func:`verify_digest` per item (including LRU warm-up
-    side effects).  Beyond sharing one Montgomery batch inversion for every
-    ``s^-1 mod n``, same-key groups of *recoverable* signatures (R carried,
-    cached window table, ≥ :data:`BATCH_VERIFY_MIN`) are checked with one
-    randomised aggregate equation — the audit engine's chunk fast path.  Any
-    aggregate mismatch falls back to exact per-item verification, so a bad
-    signature is always attributed to the right index; a forged signature
-    slipping through aggregation requires guessing a 64-bit randomiser.
+    Verdicts are identical to :func:`verify_digest` per item.  Every input
+    is validated as there (r and s in range, the key finite and on the
+    curve); the ``s^-1 mod n`` inversions share one Montgomery batch
+    inversion; and every item carrying a valid R hint joins **one**
+    randomised aggregate equation over the whole batch, across distinct
+    keys (:func:`_aggregate`).  An aggregate mismatch is settled by
+    halving down to exact verification, so a bad signature is attributed to
+    exactly its index.  Items without a usable hint verify on their own, and
+    so does every item of a batch whose keys are all cached and distinct.
+
+    A batch uses a key's cached table when there is one, and builds tables
+    only for a batch whose cold keys all fit within
+    :data:`PUBKEY_BATCH_TABLES` (:func:`_resolve_batch_tables`), so a few
+    steady keys go hot but bulk traffic over many keys cannot thrash the
+    LRU.  A one-item call is a single verification.
     """
+    if len(checks) == 1:
+        public_key, digest, signature = checks[0]
+        with obs.span("ecdsa.verify"):
+            return [_verify_single(public_key, digest, signature, curve)]
     with obs.span("ecdsa.verify_batch") as _sp:
         _sp.add("checks", len(checks))
+        n = curve.n
         results = [False] * len(checks)
-        prepared: list[tuple[int, Point, int, int, int | None, object]] = []
+        resolved = _resolve_batch_tables(checks, curve)
+        prepared: list[tuple[int, Point, FixedWindowTable | None, int, int, int | None]] = []
         s_values: list[int] = []
         for index, (public_key, digest, signature) in enumerate(checks):
             r, s = signature.r, signature.s
-            if not (1 <= r < curve.n and 1 <= s < curve.n):
+            if not (1 <= r < n and 1 <= s < n):
                 continue
-            usable, table = _resolve_pubkey_table(public_key, curve)
+            usable, table = resolved[(public_key.x, public_key.y)]
             if not usable:
                 continue
             prepared.append(
-                (
-                    index,
-                    public_key,
-                    _bits2int(digest, curve.n),
-                    r,
-                    signature.ry,
-                    table,
-                )
+                (index, public_key, table, _bits2int(digest, n), r, signature.ry)
             )
             s_values.append(s)
         if not prepared:
             return results
-        inverses = _batch_inverse(s_values, curve.n)
-
-        def flush_group(
-            items: list[tuple[int, Point, int, int, int | None, object, int]]
-        ) -> None:
-            head_table = items[0][5]
-            aggregable = (
-                len(items) >= BATCH_VERIFY_MIN
-                and head_table is not None
-                and all(ry is not None for _i, _pk, _z, _r, ry, _t, _w in items)
-            )
-            if aggregable and _aggregate_group_verify(
-                [(z, r, w, ry) for _i, _pk, z, r, ry, _t, w in items],
-                head_table,
-                curve,
-            ):
-                obs.inc("ecdsa.verify_batch.aggregated", len(items))
-                for item in items:
-                    results[item[0]] = True
-                return
-            for index, public_key, z, r, _parity, table, w in items:
+        batch: list[_BatchItem] = []
+        cold: set[tuple[int, int]] = set()
+        # Randomisers come from a process-local DRBG, not per-call urandom:
+        # unpredictability to the signature submitter is all soundness needs.
+        width = BATCH_RANDOMIZER_BITS // 8
+        entropy = _randomizer_bytes(width * len(prepared))
+        mask = (1 << (BATCH_RANDOMIZER_BITS - 1)) - 1
+        for position, ((index, public_key, table, z, r, ry), w) in enumerate(
+            zip(prepared, _batch_inverse(s_values, n))
+        ):
+            r_point = None if ry is None else _r_point_from_hint(r, ry, curve)
+            if r_point is None:
                 results[index] = _verify_prepared(public_key, z, r, w, table, curve)
-
-        groups: "OrderedDict[tuple[int, int], list]" = OrderedDict()
-        for (index, public_key, z, r, parity, table), w in zip(prepared, inverses):
-            groups.setdefault((public_key.x, public_key.y), []).append(
-                (index, public_key, z, r, parity, table, w)
-            )
-        for group in groups.values():
-            flush_group(group)
+                continue
+            chunk = entropy[position * width : (position + 1) * width]
+            a = 1 + (int.from_bytes(chunk, "big") & mask)
+            batch.append((index, public_key, table, z, r, w, r_point, a))
+            if table is None:
+                cold.add((public_key.x, public_key.y))
+        if not cold and len({(item[1].x, item[1].y) for item in batch}) == len(batch):
+            # Every key cached and none repeated: the aggregate would share
+            # only the G scan, which its R terms cost more than they save.
+            for index, public_key, table, z, r, w, _r_point, _a in batch:
+                results[index] = _verify_prepared(public_key, z, r, w, table, curve)
+        elif batch:
+            obs.inc("ecdsa.verify_batch.cold_keys", len(cold))
+            _settle(batch, _aggregate(batch, curve), results, curve)
         return results
 
 

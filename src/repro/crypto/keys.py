@@ -63,10 +63,10 @@ class PublicKey:
     def precompute(self) -> "PublicKey":
         """Eagerly build this key's window table in the verifier cache.
 
-        Batch admission calls this before fanning out signature checks so
-        every verification of the key runs add-only table scans.  Returns
-        ``self`` for chaining.  Raises ``ValueError`` for an invalid point
-        (off-curve keys can never verify anyway).
+        For a caller that knows the key will verify many single signatures
+        (batches need no table).  Returns ``self`` for chaining.  Raises
+        ``ValueError`` for an invalid point (off-curve keys can never verify
+        anyway).
         """
         if self.point.is_infinity() or not is_on_curve(self.point, self.curve):
             raise ValueError("cannot precompute an invalid public key")
@@ -121,8 +121,9 @@ class KeyPair:
 def verify_batch(checks: list[tuple[PublicKey, bytes, Signature]]) -> list[bool]:
     """Batch-verify ``(public_key, digest, signature)`` triples.
 
-    Same verdict per item as :meth:`PublicKey.verify`, with the ``s^-1``
-    inversions shared per curve.  Never raises — malformed inputs simply
+    Same verdict per item as :meth:`PublicKey.verify`; each curve's items
+    are one :func:`~repro.crypto.ecdsa.verify_digests` call — one aggregate
+    equation across every key.  Never raises — malformed inputs simply
     verify ``False``.
     """
     results = [False] * len(checks)

@@ -43,10 +43,10 @@ from ..artifacts import VerifyResult
 from ..core.blocks import Block
 from ..core.journal import Journal, JournalType
 from ..core.receipt import Receipt
-from ..crypto.ca import Certificate, Role
+from ..crypto.ca import Certificate, Role, verify_certificates
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import EMPTY_DIGEST
-from ..crypto.keys import PublicKey
+from ..crypto.keys import PublicKey, verify_batch
 from ..encoding import decode
 from ..merkle.cmtree import ClueProof
 from ..merkle.fam import FamAccumulator, FamProof, FamReplayer
@@ -143,19 +143,21 @@ def _verify(
         who_ok = False
         problems.add("lsp-key", "bundle pins a different LSP key than supplied")
 
-    certificates: dict[str, Certificate] = {}
-    for bc in bundle.certificates:
-        cert = Certificate(
+    bundled = [
+        Certificate(
             member_id=bc.member_id,
             role=Role(bc.role),
             public_key=PublicKey.from_bytes(bc.public_key),
             issuer=bc.issuer,
             signature=Signature.from_bytes(bc.signature) if bc.signature else None,
         )
-        if not cert.verify(ca_key):
+        for bc in bundle.certificates
+    ]
+    for cert, valid in zip(bundled, verify_certificates(bundled, ca_key)):
+        if not valid:
             who_ok = False
-            problems.add("certificate", f"{bc.member_id!r} fails CA validation")
-        certificates[bc.member_id] = cert
+            problems.add("certificate", f"{cert.member_id!r} fails CA validation")
+    certificates = {cert.member_id: cert for cert in bundled}
 
     if len(bundle.shards) != bundle.num_shards:
         what_ok = False
@@ -299,17 +301,23 @@ def _verify_shard(
     if tsa_keys is not None:
         when_ok = _verify_when(tag, journals, retained, tsa_keys, problems)
 
-    # --- who: every surviving journal's pi_c, plus the receipt's pi_s target
+    # --- who: every surviving journal's pi_c (one batch across every member
+    # key), plus the receipt's pi_s target
+    signed = [
+        journal
+        for journal in journals.values()
+        if journal.client_id in certificates and journal.client_signature is not None
+    ]
+    checks = [
+        (certificates[j.client_id].public_key, j.request_hash, j.client_signature)
+        for j in signed
+    ]
+    valid = {j.jsn for j, ok in zip(signed, verify_batch(checks)) if ok}
     for jsn in sorted(journals):
-        journal = journals[jsn]
-        cert = certificates.get(journal.client_id)
-        if cert is None:
+        if journals[jsn].client_id not in certificates:
             who_ok = False
             problems.add("who", f"{tag}: jsn {jsn} has no certificate on file")
-            continue
-        if journal.client_signature is None or not cert.public_key.verify(
-            journal.request_hash, journal.client_signature
-        ):
+        elif jsn not in valid:
             who_ok = False
             problems.add("who", f"{tag}: jsn {jsn} fails the client signature")
     if receipt is not None:

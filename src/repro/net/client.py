@@ -1131,10 +1131,8 @@ class RemoteLedgerSession(SessionHelpers):
         client_id: str | None = None,
         keypair: KeyPair | None = None,
         requests: list[ClientRequest] | None = None,
-        max_workers: int | None = None,
         timeout: float | None = None,
     ) -> list[Receipt]:
-        self._check_capabilities(max_workers=max_workers)
         pairs = None
         if items is not None:
             pairs = [

@@ -107,14 +107,6 @@ CAPABILITIES: dict[str, TransportCapability] = {
             "service-backed appends still applies)"
         ),
     ),
-    "max_workers": TransportCapability(
-        kwarg="max_workers",
-        transports=frozenset({"local"}),
-        reason=(
-            "the server's group-commit service owns batching; max_workers "
-            "only tunes the local direct-append path"
-        ),
-    ),
 }
 
 
@@ -165,7 +157,6 @@ class VerifyingSession(Protocol):
         client_id: str | None = None,
         keypair: "KeyPair | None" = None,
         requests: "list[ClientRequest] | None" = None,
-        max_workers: int | None = None,
         timeout: float | None = None,
     ) -> "list[Receipt]": ...
 
@@ -246,13 +237,3 @@ class SessionHelpers:
             raise UsageError("pass clue= or clues=, not both")
         return tuple(clues) if clues is not None else ((clue,) if clue else ())
 
-    def _check_capabilities(self, **kwargs: Any) -> None:
-        """Typed rejection of kwargs this transport cannot honour.
-
-        Table-driven (:data:`CAPABILITIES`): pass the candidate kwargs and
-        every non-``None`` one the table denies this transport raises a
-        :class:`UsageError` carrying the table's rationale.
-        """
-        check_transport_kwargs(
-            self.transport, getattr(self, "lgid", "?"), **kwargs
-        )

@@ -354,9 +354,7 @@ class ShardedLedger:
         """
         return self._shards[self.shard_of_request(request)].append(request)
 
-    def append_batch(
-        self, requests: list[ClientRequest], max_workers: int | None = None
-    ) -> list[Receipt]:
+    def append_batch(self, requests: list[ClientRequest]) -> list[Receipt]:
         """Partition a batch by shard and commit each group atomically.
 
         Atomicity is per shard group (each group is one
@@ -371,7 +369,7 @@ class ShardedLedger:
         for shard_index in sorted(groups):
             positions = groups[shard_index]
             shard_receipts = self._shards[shard_index].append_batch(
-                [requests[position] for position in positions], max_workers=max_workers
+                [requests[position] for position in positions]
             )
             for position, receipt in zip(positions, shard_receipts):
                 receipts[position] = receipt

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
@@ -254,6 +255,12 @@ class FileStream(Stream):
     ) -> None:
         self._path = os.fspath(path)
         self._durable = durable
+        # Appends, reads and erasures share one file object's seek position;
+        # each holds this lock across its seek and I/O so a concurrent append
+        # can never land at a reader's offset (or a read see a half-written
+        # batch whose offsets are already indexed).  An append's fsync runs
+        # after the lock is released, so reads never wait on durability.
+        self._io_lock = threading.Lock()
         # Positions (file offsets) of each record header, rebuilt on open.
         self._positions: list[int] = []
         self._lengths: list[int] = []
@@ -377,6 +384,9 @@ class FileStream(Stream):
 
     def _flush(self) -> None:
         self._file.flush()
+        self._sync()
+
+    def _sync(self) -> None:
         if self._durable:
             self._fsync()
 
@@ -394,27 +404,28 @@ class FileStream(Stream):
 
     def append(self, record: bytes) -> int:
         with obs.span("storage.append"):
-            self._file.seek(0, os.SEEK_END)
-            position = self._file.tell()
-            self._file.write(
-                _pack_record_header(len(record), _FLAG_COMMIT, record) + record
-            )
-            self._flush()
-            self._positions.append(position)
-            self._lengths.append(len(record))
-            self._erased.append(False)
+            with self._io_lock:
+                self._file.seek(0, os.SEEK_END)
+                position = self._file.tell()
+                self._file.write(
+                    _pack_record_header(len(record), _FLAG_COMMIT, record) + record
+                )
+                self._file.flush()
+                self._positions.append(position)
+                self._lengths.append(len(record))
+                self._erased.append(False)
+                offset = len(self._positions) - 1
+            self._sync()
             obs.inc("storage.bytes_written", _HEADER.size + len(record))
-            return len(self._positions) - 1
+            return offset
 
     def append_many(self, records: list[bytes]) -> list[int]:
         if not records:
             return []
         with obs.span("storage.append_many") as sp:
             sp.add("records", len(records))
-            self._file.seek(0, os.SEEK_END)
-            position = self._file.tell()
             chunks: list[bytes] = []
-            offsets: list[int] = []
+            sizes: list[int] = []
             last = len(records) - 1
             for index, record in enumerate(records):
                 # Only the batch's final record carries the commit epilogue: a
@@ -423,41 +434,49 @@ class FileStream(Stream):
                 flags = _FLAG_COMMIT if index == last else 0
                 chunks.append(_pack_record_header(len(record), flags, record))
                 chunks.append(record)
-                self._positions.append(position)
-                self._lengths.append(len(record))
-                self._erased.append(False)
-                offsets.append(len(self._positions) - 1)
-                position += _HEADER.size + len(record)
+                sizes.append(len(record))
             payload = b"".join(chunks)
-            self._file.write(payload)
-            self._flush()
+            with self._io_lock:
+                self._file.seek(0, os.SEEK_END)
+                position = self._file.tell()
+                self._file.write(payload)
+                self._file.flush()
+                # Offsets are published only once the whole batch is written.
+                first = len(self._positions)
+                for size in sizes:
+                    self._positions.append(position)
+                    self._lengths.append(size)
+                    self._erased.append(False)
+                    position += _HEADER.size + size
+            self._sync()
             obs.inc("storage.bytes_written", len(payload))
-            return offsets
+            return list(range(first, first + len(records)))
 
     # ----------------------------------------------------------------- reads
 
     def read(self, offset: int) -> bytes:
-        self._check_offset(offset)
-        if self._erased[offset]:
-            raise RecordErasedError(offset)
-        self._file.seek(self._positions[offset])
-        header = self._file.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise StreamCorruptionError(
-                offset, "record header truncated under an open stream",
-                path=self._path,
-            )
-        length, flags, pcrc, hcrc = _HEADER.unpack(header)
-        # Verify on every read, not just at open: a flipped bit must never
-        # flow into tx-hash recomputation as if it were honest data.
-        if not _header_crc_ok(length, flags, pcrc, hcrc):
-            raise StreamCorruptionError(
-                offset, "header checksum mismatch", path=self._path
-            )
-        if flags & _FLAG_ERASED:  # stale in-memory index (concurrent erase)
-            self._erased[offset] = True
-            raise RecordErasedError(offset)
-        data = self._file.read(length)
+        with self._io_lock:
+            self._check_offset(offset)
+            if self._erased[offset]:
+                raise RecordErasedError(offset)
+            self._file.seek(self._positions[offset])
+            header = self._file.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise StreamCorruptionError(
+                    offset, "record header truncated under an open stream",
+                    path=self._path,
+                )
+            length, flags, pcrc, hcrc = _HEADER.unpack(header)
+            # Verify on every read, not just at open: a flipped bit must never
+            # flow into tx-hash recomputation as if it were honest data.
+            if not _header_crc_ok(length, flags, pcrc, hcrc):
+                raise StreamCorruptionError(
+                    offset, "header checksum mismatch", path=self._path
+                )
+            if flags & _FLAG_ERASED:  # stale in-memory index (concurrent erase)
+                self._erased[offset] = True
+                raise RecordErasedError(offset)
+            data = self._file.read(length)
         if len(data) < length:
             raise StreamCorruptionError(
                 offset, f"record body truncated (need {length}, got {len(data)})",
@@ -472,23 +491,24 @@ class FileStream(Stream):
     # --------------------------------------------------------------- erasure
 
     def erase(self, offset: int) -> None:
-        self._check_offset(offset)
-        if self._erased[offset]:
-            return
-        position = self._positions[offset]
-        length = self._lengths[offset]
-        # Header first (atomic in-place rewrite of 13 bytes), then scrub.  A
-        # crash between the two recovers as an erased record whose payload
-        # zeroing open() completes — the erase fully happened or fully didn't.
-        # COMMIT is set unconditionally: an erasable record was by definition
-        # already committed, and the flag keeps it inside the committed
-        # prefix if it happens to be the final record of the file.
-        self._file.seek(position)
-        self._file.write(_pack_record_header(length, _FLAG_ERASED | _FLAG_COMMIT, b""))
-        self._flush()
-        self._file.write(b"\x00" * length)
-        self._flush()
-        self._erased[offset] = True
+        with self._io_lock:
+            self._check_offset(offset)
+            if self._erased[offset]:
+                return
+            position = self._positions[offset]
+            length = self._lengths[offset]
+            # Header first (atomic in-place rewrite of 13 bytes), then scrub.  A
+            # crash between the two recovers as an erased record whose payload
+            # zeroing open() completes — the erase fully happened or fully didn't.
+            # COMMIT is set unconditionally: an erasable record was by definition
+            # already committed, and the flag keeps it inside the committed
+            # prefix if it happens to be the final record of the file.
+            self._file.seek(position)
+            self._file.write(_pack_record_header(length, _FLAG_ERASED | _FLAG_COMMIT, b""))
+            self._flush()
+            self._file.write(b"\x00" * length)
+            self._flush()
+            self._erased[offset] = True
 
     def is_erased(self, offset: int) -> bool:
         self._check_offset(offset)

@@ -109,12 +109,31 @@ def test_batch_spanning_fam_epoch_rollover():
     _assert_equivalent(seq_ledger, batch_ledger, seq_receipts, batch_receipts)
 
 
-def test_batch_with_thread_fanout_matches():
-    seq_ledger, keys = _make_ledger()
+def test_batch_over_many_member_keys_matches():
+    # One admission batch over a dozen distinct cold member keys goes
+    # through the cross-key aggregate equation; a forged request in it is
+    # still rejected with the ledger untouched.
+    seq_ledger, _ = _make_ledger()
     batch_ledger, _ = _make_ledger()
-    requests = _requests(keys, 9)
+    members = {f"m{i:02d}": KeyPair.generate(seed=f"batch:member:{i}") for i in range(12)}
+    for ledger in (seq_ledger, batch_ledger):
+        for name, keypair in members.items():
+            ledger.registry.register(name, Role.USER, keypair.public)
+    requests = [
+        ClientRequest.build(
+            URI, name, payload=f"tx-{name}".encode(), clues=("buyer:1",),
+            nonce=b"\x00" * 8, client_timestamp=1.0,
+        ).signed_by(keypair)
+        for name, keypair in members.items()
+    ]
+    forged = list(requests)
+    forged[7] = requests[7].signed_by(members["m03"])
+    root, size = batch_ledger.current_root(), batch_ledger.size
+    with pytest.raises(AuthenticationError, match="m07"):
+        batch_ledger.append_batch(forged)
+    assert (batch_ledger.current_root(), batch_ledger.size) == (root, size)
     seq_receipts = [seq_ledger.append(r) for r in requests]
-    batch_receipts = batch_ledger.append_batch(requests, max_workers=4)
+    batch_receipts = batch_ledger.append_batch(requests)
     _assert_equivalent(seq_ledger, batch_ledger, seq_receipts, batch_receipts)
 
 

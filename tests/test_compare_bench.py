@@ -18,9 +18,13 @@ compare_bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_bench)
 
 
-def _report(sign=350.0, verify=560.0, seq=2750.0, batch=1130.0) -> dict:
+def _report(sign=350.0, verify=560.0, seq=2750.0, batch=1130.0, distinct=620.0) -> dict:
     return {
-        "ecdsa": {"sign_fast_us": sign, "verify_fast_us": verify},
+        "ecdsa": {
+            "sign_fast_us": sign,
+            "verify_fast_us": verify,
+            "verify_batch_distinct_us": distinct,
+        },
         "append": {"sequential_us_per_append": seq, "batch_us_per_append": batch},
     }
 

@@ -10,6 +10,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import (
@@ -254,17 +255,18 @@ def test_keypair_sign_batch_and_verify_batch_roundtrip():
 class TestAggregatedBatchVerify:
     """The randomized-aggregate path behind ``verify_digests``.
 
-    Signatures carry the full R.y hint (ECDSA*, 96-byte wire form); same-key
-    groups of >= BATCH_VERIFY_MIN verify through one aggregate equation, and
-    *any* aggregate failure falls back to exact per-item verification — so
-    verdicts must match ``verify_digest`` under every corruption.
+    Signatures carry the full R.y hint (ECDSA*, 96-byte wire form); these
+    same-key groups use the key's cached window table inside the aggregate
+    equation, and *any* aggregate failure is settled down to exact per-item
+    verification — so verdicts must match ``verify_digest`` under every
+    corruption.
     """
 
     def _group(self, count, seed=0xA66):
         rng = random.Random(seed)
         secret = rng.randrange(1, N)
         public = derive_public_key(secret)
-        precompute_public_key(public)  # aggregation requires the window table
+        precompute_public_key(public)  # the cached-table branch of the aggregate
         digests = [hashlib.sha256(rng.randbytes(24)).digest() for _ in range(count)]
         checks = [(public, d, sign_digest(secret, d)) for d in digests]
         return secret, public, checks
@@ -296,7 +298,7 @@ class TestAggregatedBatchVerify:
     def test_aggregate_path_actually_taken(self):
         from repro import obs
 
-        _, _, checks = self._group(ecdsa.BATCH_VERIFY_MIN + 2)
+        _, _, checks = self._group(5)
         obs.enable()
         try:
             assert verify_digests(checks) == [True] * len(checks)
@@ -420,3 +422,163 @@ def test_clear_fast_path_caches():
     ecdsa.clear_fast_path_caches()
     assert not ecdsa._PUBKEY_TABLES and not ecdsa._GEN_TABLES
     assert scalar_multiply_base(5) == scalar_multiply(5, G)  # rebuilds lazily
+
+
+# --------------------------------------------- cross-key aggregate (batches)
+
+# A small key population, signed once: batches below draw distinct and
+# repeated keys from it, with tables cached for some keys and not others.
+_POP_SECRETS = [random.Random(0x5EED + i).randrange(1, N) for i in range(8)]
+_POP_DIGESTS = [hashlib.sha256(b"pop-%d" % i).digest() for i in range(4)]
+_POP_SIGS: dict = {}
+_POP_TABLES: dict = {}
+
+
+def _pop_check(key: int, message: int):
+    signature = _POP_SIGS.get((key, message))
+    if signature is None:
+        signature = _POP_SIGS[(key, message)] = sign_digest(
+            _POP_SECRETS[key], _POP_DIGESTS[message]
+        )
+    return derive_public_key(_POP_SECRETS[key]), _POP_DIGESTS[message], signature
+
+
+_MUTATIONS = (
+    "none", "none", "none", "tamper_digest", "wrong_key", "negate_hint",
+    "off_curve_hint", "zero_hint", "missing_hint", "identity_key",
+    "off_curve_key", "r_zero", "r_big", "s_zero", "s_big",
+)
+
+
+def _mutate(check, mutation: str):
+    public, digest, sig = check
+    if mutation == "tamper_digest":
+        return public, hashlib.sha256(digest).digest(), sig
+    if mutation == "wrong_key":
+        return derive_public_key(_POP_SECRETS[0] ^ 1), digest, sig
+    if mutation == "negate_hint":
+        return public, digest, Signature(sig.r, sig.s, CURVE_P256.p - sig.ry)
+    if mutation == "off_curve_hint":
+        return public, digest, Signature(sig.r, sig.s, (sig.ry + 1) % CURVE_P256.p)
+    if mutation == "zero_hint":
+        return public, digest, Signature(sig.r, sig.s, 0)
+    if mutation == "missing_hint":
+        return public, digest, Signature(sig.r, sig.s)
+    if mutation == "identity_key":
+        return Point(0, 0), digest, sig
+    if mutation == "off_curve_key":
+        return Point(public.x, (public.y + 1) % CURVE_P256.p), digest, sig
+    if mutation == "r_zero":
+        return public, digest, Signature(0, sig.s, sig.ry)
+    if mutation == "r_big":
+        return public, digest, Signature(sig.r + N, sig.s, sig.ry)
+    if mutation == "s_zero":
+        return public, digest, Signature(sig.r, 0, sig.ry)
+    if mutation == "s_big":
+        return public, digest, Signature(sig.r, N, sig.ry)
+    return check
+
+
+class TestCrossKeyBatchVerify:
+    """``verify_digests`` aggregates a whole batch across distinct keys and
+    must give exactly the verdicts of ``verify_digest``, item by item."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(_POP_SECRETS) - 1),
+                st.integers(0, len(_POP_DIGESTS) - 1),
+                st.sampled_from(_MUTATIONS),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sets(st.integers(0, len(_POP_SECRETS) - 1), max_size=3),
+    )
+    def test_verdicts_identical_to_single_verify(self, specs, cached):
+        if not _POP_TABLES:  # built once: each example picks its cached subset
+            for secret in _POP_SECRETS:
+                public = derive_public_key(secret)
+                _POP_TABLES[_cache_key(public)] = precompute_public_key(public)
+        ecdsa._PUBKEY_TABLES.clear()
+        ecdsa._PUBKEY_SEEN.clear()
+        for key in cached:
+            entry = _cache_key(derive_public_key(_POP_SECRETS[key]))
+            ecdsa._PUBKEY_TABLES[entry] = _POP_TABLES[entry]
+        checks = [_mutate(_pop_check(key, message), mutation) for key, message, mutation in specs]
+        batch = verify_digests(checks)
+        assert batch == [verify_digest(*check) for check in checks]
+        assert batch == [verify_digest_naive(*check) for check in checks]
+
+    def _cold_batch(self, count, seed):
+        rng = random.Random(seed)
+        checks = []
+        for _ in range(count):
+            secret = rng.randrange(1, N)
+            digest = hashlib.sha256(rng.randbytes(16)).digest()
+            checks.append((derive_public_key(secret), digest, sign_digest(secret, digest)))
+        return checks
+
+    def test_one_forgery_in_64_cold_keys_flagged_at_its_index(self):
+        from repro import obs
+
+        checks = self._cold_batch(64, seed=0x64)
+        mallory = random.Random(2).randrange(1, N)
+        public, digest, _ = checks[41]
+        checks[41] = (public, digest, sign_digest(mallory, digest))
+        obs.enable()
+        try:
+            assert verify_digests(checks) == [index != 41 for index in range(64)]
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters["ecdsa.verify_batch.cold_keys"] == 64
+        # Halving: one mismatch per level down to the forged leaf, and every
+        # honest signature is still settled by an aggregate equation.
+        assert counters["ecdsa.verify_batch.fallback"] == 6
+        assert counters["ecdsa.verify_batch.aggregated"] == 63
+
+    def test_cold_batch_leaves_key_tables_unchanged(self):
+        hot = derive_public_key(0x407)
+        precompute_public_key(hot)
+        tables_before = list(ecdsa._PUBKEY_TABLES)
+        checks = self._cold_batch(12, seed=0xC01D)
+        checks += checks[:6]  # a key repeated within a batch is one use
+        assert verify_digests(checks) == [True] * len(checks)
+        assert list(ecdsa._PUBKEY_TABLES) == tables_before
+
+    def test_distinct_cached_keys_verify_item_by_item(self):
+        from repro import obs
+
+        checks = self._cold_batch(3, seed=0x407)
+        for public, _, _ in checks:
+            precompute_public_key(public)
+        public, digest, signature = checks[1]
+        checks[1] = (public, hashlib.sha256(digest).digest(), signature)
+        obs.enable()
+        try:
+            assert verify_digests(checks) == [True, False, True]
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.disable()
+            obs.reset()
+        assert "ecdsa.verify_batch.aggregated" not in counters
+        assert "ecdsa.verify_batch.fallback" not in counters
+
+    def test_batches_build_tables_only_within_allowance(self, monkeypatch):
+        checks = self._cold_batch(4, seed=0xA110)
+        keys = [_cache_key(public) for public, _, _ in checks]
+        assert verify_digests(checks) == [True] * 4
+        assert not ecdsa._PUBKEY_TABLES
+        # A key's second batch builds its table while the allowance has room.
+        assert verify_digests(checks) == [True] * 4
+        assert sorted(ecdsa._PUBKEY_TABLES) == sorted(keys)
+        # Cold keys that do not all fit the allowance stay cold, batch
+        # after batch; the cached tables are still used.
+        monkeypatch.setattr(ecdsa, "PUBKEY_BATCH_TABLES", len(keys))
+        others = self._cold_batch(4, seed=0xA111)
+        for _ in range(3):
+            assert verify_digests(others + checks) == [True] * 8
+        assert sorted(ecdsa._PUBKEY_TABLES) == sorted(keys)

@@ -58,9 +58,9 @@ class SlowLedger(Ledger):
 
     commit_delay = 0.05
 
-    def append_batch(self, requests, max_workers=None):
+    def append_batch(self, requests):
         time.sleep(self.commit_delay)
-        return super().append_batch(requests, max_workers=max_workers)
+        return super().append_batch(requests)
 
 
 def make_slow_ledger(delay: float) -> tuple[SlowLedger, dict[str, KeyPair]]:

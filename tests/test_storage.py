@@ -96,6 +96,104 @@ class TestFileStream:
             stream.append(b"")
             assert stream.read(0) == b""
 
+    def test_concurrent_reads_during_appends(self, tmp_path):
+        # One writer and two readers share one file object: a read between
+        # an append's seek and its write used to move the write to the
+        # reader's offset, corrupting an interior record.
+        import random
+        import sys
+        import threading
+
+        path = tmp_path / "race.stream"
+        stream = FileStream(path)
+        stream.append(b"record-0")
+        committed = [1]
+        stop = threading.Event()
+        errors: list[str] = []
+
+        def writer():
+            try:
+                for batch in range(1000):
+                    if batch % 3:
+                        offsets = stream.append_many(
+                            [b"record-%d" % (committed[0] + i) for i in range(4)]
+                        )
+                    else:
+                        offsets = [stream.append(b"record-%d" % committed[0])]
+                    committed[0] = offsets[-1] + 1
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(f"writer: {exc!r}")
+            finally:
+                stop.set()
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    offset = rng.randrange(committed[0])
+                    record = stream.read(offset)
+                    if record != b"record-%d" % offset:
+                        errors.append(f"read {offset} returned {record!r}")
+                        return
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(f"reader: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader, args=(seed,)) for seed in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            stream.close()
+        assert errors == []
+        with FileStream(path) as reopened:
+            assert reopened.open_report.clean
+            assert len(reopened) == committed[0]
+            assert all(
+                reopened.read(offset) == b"record-%d" % offset
+                for offset in range(len(reopened))
+            )
+
+    def test_reads_do_not_wait_on_fsync(self, tmp_path):
+        # A durable append holds the I/O lock only for its seek and write;
+        # a concurrent read must not queue behind the append's fsync.
+        import threading
+
+        in_fsync = threading.Event()
+        release = threading.Event()
+        block = [False]
+
+        class SlowSyncStream(FileStream):
+            def _fsync(self):
+                if block[0]:
+                    in_fsync.set()
+                    assert release.wait(timeout=30)
+                super()._fsync()
+
+        stream = SlowSyncStream(tmp_path / "slow.stream", durable=True)
+        stream.append(b"first")
+        block[0] = True
+        appended: list[int] = []
+        writer = threading.Thread(target=lambda: appended.append(stream.append(b"second")))
+        writer.start()
+        try:
+            assert in_fsync.wait(timeout=30)
+            assert stream.read(0) == b"first"  # would deadlock under the lock
+            assert not appended  # the append has not returned yet
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert appended == [1]
+        assert stream.read(1) == b"second"
+        stream.close()
+
     @given(st.lists(st.binary(max_size=200), min_size=1, max_size=30))
     def test_matches_memory_stream(self, records):
         import tempfile, os

@@ -518,16 +518,6 @@ class TestVerifyingSessionProtocol:
                 kinds = {p.kind for p in signature.parameters.values()}
                 assert inspect.Parameter.VAR_KEYWORD not in kinds, (cls, name)
 
-    def test_remote_rejects_max_workers_typed(self):
-        ledger, keypair = make_ledger()
-        with ServerThread(ledger) as served:
-            host, port = served.address
-            with api.connect(
-                f"ledger://{host}:{port}", client_id="alice", keypair=keypair
-            ) as session:
-                with pytest.raises(UsageError, match="remote transport"):
-                    session.append_batch([(b"x", None)], max_workers=2)
-
     def test_local_rejects_remote_only_kwargs(self):
         uri = f"ledger://kwargs-{next(_URIS)}"
         api.create(uri)
