@@ -1,9 +1,9 @@
 """repro.api — the v2 session-handle API (DESIGN.md §11).
 
-The v1 facade (:mod:`repro.core.api`) mirrors the paper's procedural surface:
-free functions keyed by an ``lgid`` string, re-resolved on every call, with
-``verify`` collapsing a three-factor Dasein audit into a bare bool.  This
-module replaces it with **session handles**:
+The paper's procedural surface is free functions keyed by an ``lgid``
+string, re-resolved on every call, with ``verify`` collapsing a three-factor
+Dasein audit into a bare bool.  This module offers **session handles**
+instead:
 
 * :func:`create` / :func:`drop_ledger` manage a process-wide, thread-safe
   registry of ledgers by ``lgid`` — symmetric by default (duplicate
@@ -42,6 +42,7 @@ from .core.verification import (
     VerifyLevel,
     VerifyResult,
     VerifyTarget,
+    verify_lineage,
 )
 from .crypto.keys import KeyPair, PublicKey
 from .export.bundle import ExportBundle, export_bundle
@@ -624,42 +625,6 @@ class LedgerSession(SessionHelpers):
 
     # ------------------------------------------------------------ verifying
 
-    def verify(
-        self,
-        target: VerifyTarget | str,
-        *,
-        key: str | None = None,
-        txdata: list[Journal] | None = None,
-        rho: Any = None,
-        root: bytes | None = None,
-        level: VerifyLevel | str = VerifyLevel.SERVER,
-    ) -> VerifyResult:
-        """The Verify API (§IV-C), returning structured evidence.
-
-        * ``target=TX`` — existence of the single journal in ``txdata[0]``;
-          ``rho`` optionally carries a pre-fetched fam proof.
-        * ``target=CLUE`` — N-lineage verification of clue ``key`` over
-          ``txdata`` (all related journals, in order); ``rho`` optionally
-          carries a pre-fetched :class:`~repro.merkle.cmtree.ClueProof`;
-          ``root`` is the caller's trusted CM-Tree1 datum (client level).
-
-        Returns a :class:`VerifyResult` (truthy iff the check passed)
-        carrying the proof used and the trusted root.  A *failed* check is a
-        falsy result, not an exception.
-
-        Raises:
-            UsageError: bad target/level, wrong ``txdata`` shape, missing
-                ``key``, or a client-level TX check with no trusted root
-                available.
-        """
-        target = _coerce(VerifyTarget, target)
-        level = _coerce(VerifyLevel, level)
-        if target is VerifyTarget.TX:
-            return self._verify_tx(txdata, rho, root, level)
-        if target is VerifyTarget.CLUE:
-            return self._verify_clue(key, txdata, rho, root, level)
-        raise UsageError(f"unsupported verification target: {target}")
-
     def _proof_for(self, journal: Journal) -> Any:
         """Fetch the existence proof for a journal this session holds.
 
@@ -733,7 +698,6 @@ class LedgerSession(SessionHelpers):
         if key is None or txdata is None:
             raise UsageError("CLUE verification needs key and txdata")
         ledger = self.ledger
-        digests = {i: j.tx_hash() for i, j in enumerate(txdata)}
         if level is VerifyLevel.SERVER:
             trusted = ledger.state_root()
             ok = ledger.verify_clue(key, txdata)
@@ -741,7 +705,7 @@ class LedgerSession(SessionHelpers):
         else:
             proof = rho if rho is not None else ledger.prove_clue(key)
             trusted = root if root is not None else ledger.state_root()
-            ok = proof.verify(digests, trusted)
+            ok = verify_lineage(txdata, proof, trusted)
         return VerifyResult(
             ok=ok,
             target=VerifyTarget.CLUE.value,
@@ -877,16 +841,3 @@ def _build_service(ledger: Any, config: Any):
     if isinstance(ledger, ShardedLedger):
         return ShardedLedgerService(ledger, config)
     raise UsageError(f"cannot build a service over {type(ledger).__name__}")
-
-
-def _coerce(enum_cls: type, value: Any):
-    """Accept the enum member itself or its string value ("tx", "server")."""
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise UsageError(
-            f"{enum_cls.__name__} expected one of "
-            f"{[member.value for member in enum_cls]}, got {value!r}"
-        ) from None

@@ -1,7 +1,7 @@
 """repro.audit — the Dasein-complete audit engine (§V, Definition 1).
 
-The audit grew out of :mod:`repro.core.audit` (still importable as a shim)
-into its own package when it went parallel:
+The audit grew out of a single ``repro.core`` module into its own package
+when it went parallel (``repro.core.dasein_audit`` still resolves here):
 
 * :mod:`~repro.audit.engine` — the coordinator: sequential replay fold +
   chunked signature dispatch, deterministic failure merge, resume logic;

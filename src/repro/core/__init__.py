@@ -1,4 +1,4 @@
-"""LedgerDB core: the ledger kernel, Dasein verification, and the audit.
+"""LedgerDB core: the ledger kernel and the verification kernel.
 
 Exports resolve lazily (PEP 562) so that kernel-free leaf modules —
 ``core.journal``, ``core.receipt``, ``core.errors``, ``core.snapshot`` —
@@ -6,7 +6,8 @@ can be imported by the standalone offline verifier without dragging in
 ``core.ledger`` (and through it the node store, service wiring, and the
 rest of the kernel).  Keep new exports in the lazy table; an eager import
 here would silently break the ``repro/export/verifier.py`` import-isolation
-guarantee.
+guarantee.  ``AuditReport``, ``AuditStep`` and ``dasein_audit`` resolve to
+their home, :mod:`repro.audit`.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import importlib
 from typing import Any
 
 _EXPORTS = {
-    "ClientState": ".client",
+    "ClientState": ".verification",
     "LedgerClient": ".client",
-    "AuditReport": ".audit",
-    "AuditStep": ".audit",
-    "dasein_audit": ".audit",
+    "AuditReport": "..audit",
+    "AuditStep": "..audit",
+    "dasein_audit": "..audit",
     "Block": ".blocks",
     "ClueSkipList": ".cluesl",
     "AuthenticationError": ".errors",
@@ -55,8 +56,6 @@ _EXPORTS = {
 
 _SUBMODULES = frozenset(
     {
-        "api",
-        "audit",
         "blocks",
         "client",
         "cluesl",
@@ -72,10 +71,7 @@ _SUBMODULES = frozenset(
     }
 )
 
-__all__ = [  # noqa: F822  (names resolve lazily via __getattr__)
-    "api",
-    *sorted(_EXPORTS),
-]
+__all__ = sorted(_EXPORTS)  # names resolve lazily via __getattr__
 
 
 def __getattr__(name: str) -> Any:

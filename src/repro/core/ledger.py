@@ -15,7 +15,7 @@ This module wires every substrate together into the system of Figure 1/2:
 
 The server-side trust model: a client that trusts the LSP calls the
 ``verify_*`` convenience methods here; a distrusting auditor instead calls
-:meth:`Ledger.export_view` and uses :mod:`repro.core.audit` /
+:meth:`Ledger.export_view` and uses :mod:`repro.audit` /
 :mod:`repro.core.verification` entirely client-side.
 """
 
@@ -74,6 +74,7 @@ from .snapshot import (
     write_config_file,
     write_snapshot,
 )
+from .verification import lineage_digests, parse_time_journal, tsa_token
 
 __all__ = ["LedgerConfig", "Ledger", "LedgerView", "JournalEntryView", "LSP_MEMBER_ID"]
 
@@ -146,7 +147,7 @@ class LedgerView:
 
     Contains no secrets: journal bytes, block headers, certificates, mutation
     records with their multi-signatures, time-journal evidence, and the
-    pseudo-genesis (if any).  :mod:`repro.core.audit` consumes this.
+    pseudo-genesis (if any).  :mod:`repro.audit` consumes this.
     """
 
     uri: str
@@ -896,7 +897,7 @@ class Ledger:
 
     def verify_clue(self, clue: str, journals: list[Journal]) -> bool:
         """Server-side clue verification: all entries, in order, untampered."""
-        digests = {i: j.tx_hash() for i, j in enumerate(journals)}
+        digests = lineage_digests(journals)
         if len(digests) != self._cmtree.entry_count(clue):
             return False
         return self._cmtree.verify_clue_server(clue, digests)
@@ -1118,9 +1119,6 @@ class Ledger:
         attached public T-Ledger (Prerequisite 4: anyone can).  Returns how
         many time journals gained evidence.
         """
-        from ..crypto.ecdsa import Signature
-        from ..encoding import decode as _decode
-
         refreshed = 0
         for jsn in self._time_journals:
             if jsn in self._time_evidence or jsn < self._genesis_start:
@@ -1129,21 +1127,16 @@ class Ledger:
                 journal = self.get_journal(jsn)
             except LedgerError:
                 continue
-            info = _decode(journal.payload)
+            info = parse_time_journal(journal)
             if info["mode"] == "tsa":
-                self._time_evidence[jsn] = TimeStampToken(
-                    digest=bytes(info["anchored_root"]),
-                    timestamp=info["timestamp"],
-                    tsa_id=info["tsa_id"],
-                    signature=Signature.from_bytes(bytes(info["signature"])),
-                )
+                self._time_evidence[jsn] = tsa_token(info)
                 refreshed += 1
             elif info["mode"] == "tledger" and self._tledger is not None:
                 try:
                     evidence = self._tledger.get_evidence(info["seq"])
                 except (LookupError, IndexError):
                     continue
-                if evidence.entry.digest != bytes(info["anchored_root"]):
+                if evidence.entry.digest != info["anchored_root"]:
                     continue  # not our submission: refuse silently-wrong data
                 self._time_evidence[jsn] = evidence
                 refreshed += 1

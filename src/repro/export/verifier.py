@@ -10,8 +10,9 @@ This module re-runs the paper's ubiquitous-verification story over an
   anchor must equal the replayed epoch root;
 * **when** — TSA-mode time journals bracket each journal's creation time;
   the tokens are reconstructed from the journal payloads themselves and
-  checked against out-of-band TSA keys (T-Ledger evidence is not
-  serializable into a bundle — DESIGN.md §17 records that limit);
+  checked against out-of-band TSA keys by the verification kernel's time
+  checks (T-Ledger evidence is not serializable into a bundle — DESIGN.md
+  §17 records that limit);
 * **who** — client signatures against CA-certified member keys, the LSP
   receipt against the LSP certificate, the block chain against the
   receipt's block hash;
@@ -27,9 +28,10 @@ callers with out-of-band keys pass them explicitly and any mismatch is a
 failure, not a fallback.
 
 Import discipline is the point: this file reaches only
-``repro.crypto`` / ``repro.merkle`` / ``repro.encoding``, kernel-free
-``repro.core`` leaves (journal, receipt, blocks), ``repro.transparency.sth``
-and ``repro.timeauth`` — never ``repro.core.ledger``, ``repro.service`` or
+``repro.crypto`` / ``repro.merkle``, ledger-free ``repro.core`` modules
+(journal, receipt, blocks and the verification kernel
+:mod:`repro.core.verification`), ``repro.transparency.sth`` and
+``repro.timeauth`` — never ``repro.core.ledger``, ``repro.service`` or
 ``repro.net`` (a test asserts this on a live interpreter).  Verification
 **never raises** on bad evidence: every defect lands in a falsy, typed
 :class:`~repro.artifacts.VerifyResult`.
@@ -43,14 +45,13 @@ from ..artifacts import VerifyResult
 from ..core.blocks import Block
 from ..core.journal import Journal, JournalType
 from ..core.receipt import Receipt
+from ..core.verification import time_bracket, time_marks
 from ..crypto.ca import Certificate, Role, verify_certificates
 from ..crypto.ecdsa import Signature
 from ..crypto.hashing import EMPTY_DIGEST
 from ..crypto.keys import PublicKey, verify_batch
-from ..encoding import decode
 from ..merkle.cmtree import ClueProof
 from ..merkle.fam import FamAccumulator, FamProof, FamReplayer
-from ..timeauth.tsa import TimeStampToken
 from ..transparency.sth import (
     SOLO_SHARD,
     ConsistencyAssertion,
@@ -414,45 +415,24 @@ def _verify_when(
     tsa_keys: Mapping[str, PublicKey],
     problems: _Problems,
 ) -> bool:
-    """Bracket every non-time journal between verified TSA time anchors."""
-    marks: list[tuple[int, float, bool]] = []
-    for jsn in sorted(journals):
-        journal = journals[jsn]
-        if journal.journal_type is not JournalType.TIME:
-            continue
-        info = decode(journal.payload)
-        if info.get("mode") != "tsa":
-            # T-Ledger evidence lives outside the journal payload and is not
-            # bundle-serializable; its anchors bound nothing here.
-            marks.append((jsn, 0.0, False))
-            continue
-        token = TimeStampToken(
-            digest=bytes(info["anchored_root"]),
-            timestamp=info["timestamp"],
-            tsa_id=info["tsa_id"],
-            signature=Signature.from_bytes(bytes(info["signature"])),
-        )
-        key = tsa_keys.get(token.tsa_id)
-        marks.append((jsn, token.timestamp, key is not None and token.verify(key)))
+    """Bracket every non-time journal between verified TSA time anchors.
 
+    T-Ledger evidence lives outside the journal payload and is not
+    bundle-serializable, so T-Ledger anchors bound nothing here.
+    """
+    marks = time_marks((journals[jsn] for jsn in sorted(journals)), {}, tsa_keys)
     ok = True
     unbounded = 0
     for jsn in sorted(retained):
         journal = journals.get(jsn)
         if journal is not None and journal.journal_type is JournalType.TIME:
             continue
-        bounded = False
-        for time_jsn, _timestamp, valid in marks:
-            if time_jsn > jsn:
-                if not valid:
-                    ok = False
-                    problems.add(
-                        "when", f"{tag}: jsn {jsn} ceiling anchor fails verification"
-                    )
-                bounded = True
-                break
-        if not bounded:
+        bound, valid = time_bracket(marks, jsn)
+        if bound is None:
             unbounded += 1
+        elif not valid:
+            ok = False
+            problems.add("when", f"{tag}: jsn {jsn} ceiling anchor fails verification")
     if unbounded:
         ok = False
         problems.add(

@@ -181,6 +181,16 @@ class FamAccumulator:
         """The live global commitment (bagged root of the live epoch)."""
         return self._epochs[-1].root()
 
+    def live_state(self) -> tuple[int, int, Digest]:
+        """``(num_epochs, live epoch size, live root)`` — what an anchor sync
+        (:func:`repro.core.verification.sync_anchors`) snapshots first."""
+        return len(self._epochs), self._epochs[-1].size, self.current_root()
+
+    def epoch_zero_leaves(self) -> list[Digest]:
+        """Epoch 0's leaf digests, which a light client replays to bootstrap
+        its first anchor."""
+        return [self.leaf_digest(jsn) for jsn in range(self.epoch_capacity)]
+
     def current_frontier(self) -> list[Digest]:
         """Node-set commitment of the live epoch (Shrubs-style)."""
         return self._epochs[-1].peaks()
@@ -385,17 +395,12 @@ class FamAccumulator:
         Falls back to ``False`` (not to full-chain verification) when the
         anchor is missing, so callers can distinguish and fetch links.
         """
-        if proof.epoch_index == self.num_epochs - 1:
-            expected = self.current_root()
-        else:
-            anchor = anchors.get(proof.epoch_index)
-            if anchor is None:
-                return False
-            expected = anchor
-        try:
-            return proof.epoch_proof.computed_root(leaf_digest) == expected
-        except (ValueError, IndexError):
-            return False
+        # Imported here: the verification kernel itself imports this module.
+        from ..core.verification import verify_anchored
+
+        return verify_anchored(
+            leaf_digest, proof, anchors, self.current_root(), live_epoch=self.num_epochs - 1
+        )
 
     # -------------------------------------------------- anchor advancement
 

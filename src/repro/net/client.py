@@ -10,9 +10,10 @@ checked it against something it trusts:
   the pi_s evidence — a receipt for the wrong request convicts nobody);
 * existence proofs are folded locally (:class:`~repro.merkle.fam.FamProof`
   against the client's own :class:`~repro.merkle.fam.AnchorStore`, advanced
-  exactly like the in-process :class:`~repro.core.client.LedgerClient`:
-  epoch 0 bootstrapped from raw leaf digests, later epochs via merged-leaf
-  link proofs, the live epoch via consistency proofs);
+  by :func:`repro.core.verification.sync_anchors` — the function the
+  in-process :class:`~repro.core.client.LedgerClient` calls, fed here from
+  wire calls: epoch 0 bootstrapped from raw leaf digests, later epochs via
+  merged-leaf link proofs, the live epoch via consistency proofs);
 * clue proofs are verified with the local CM-Tree verifier.
 
 What the client necessarily takes on faith is documented in DESIGN.md §14's
@@ -38,7 +39,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from ..export.bundle import ExportBundle
 
-from ..core.client import ClientState
 from ..core.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -51,14 +51,22 @@ from ..core.errors import (
 )
 from ..core.journal import ClientRequest, Journal
 from ..core.receipt import Receipt
-from ..core.verification import VerifyLevel, VerifyResult, VerifyTarget
+from ..core.verification import (
+    ClientState,
+    VerifyLevel,
+    VerifyResult,
+    VerifyTarget,
+    receipt_problem,
+    sync_anchors,
+    verify_anchored,
+    verify_lineage,
+)
 from ..crypto.hashing import Digest, sha256
 from ..crypto.keys import KeyPair, PublicKey, verify_batch
 from ..merkle.cmtree import ClueProof
 from ..merkle.consistency import ConsistencyProof
 from ..merkle.fam import AnchorStore, FamProof
 from ..merkle.proofs import MembershipProof
-from ..merkle.shrubs import FrontierAccumulator
 from ..service import ServiceClosedError, ServiceOverloadedError, ServiceTimeout
 from ..session import SessionHelpers
 from ..transparency.censorship import SubmissionAck
@@ -169,14 +177,9 @@ class _ReceiptChecker:
         for (receipt, request, future), ok in zip(pending, verdicts):
             if future.done():
                 continue
-            if not ok:
-                future.set_exception(
-                    VerificationFailure("LSP receipt signature invalid")
-                )
-            elif receipt.request_hash != request.request_hash():
-                future.set_exception(
-                    VerificationFailure("receipt does not cover the submitted request")
-                )
+            problem = receipt_problem(receipt, request, ok)
+            if problem is not None:
+                future.set_exception(VerificationFailure(problem))
             else:
                 future.set_result(receipt)
 
@@ -631,6 +634,34 @@ class AsyncRemoteLedger:
         return (await self._call("ping"))["size"]
 
 
+class _RemoteFam:
+    """The :class:`~repro.core.verification.AnchorSource` reads, as wire
+    calls on a :class:`RemoteLedgerClient`'s connection."""
+
+    def __init__(self, client: "RemoteLedgerClient") -> None:
+        self._wait = client._wait
+        self._remote = client._remote
+
+    def live_state(self) -> tuple[int, int, Digest]:
+        info = self._wait(self._remote.fam_info())
+        return info["num_epochs"], info["live_size"], bytes(info["live_root"])
+
+    def epoch_root(self, epoch_index: int) -> Digest:
+        return self._wait(self._remote.epoch_anchor(epoch_index))
+
+    def epoch_zero_leaves(self) -> list[Digest]:
+        return self._wait(self._remote.epoch_leaves(0))
+
+    def prove_epoch_link(self, epoch_index: int) -> MembershipProof:
+        return self._wait(self._remote.epoch_link(epoch_index))
+
+    def prove_live_consistency(self, old_live_size: int) -> ConsistencyProof:
+        return self._wait(self._remote.live_consistency(old_live_size))
+
+    def prove_epoch_consistency(self, epoch_index: int, old_size: int) -> ConsistencyProof:
+        return self._wait(self._remote.epoch_consistency(epoch_index, old_size))
+
+
 class RemoteLedgerClient:
     """Synchronous verifying remote client — the over-the-wire twin of
     :class:`~repro.core.client.LedgerClient`.
@@ -866,102 +897,23 @@ class RemoteLedgerClient:
 
     def sync_anchors(self) -> int:
         """Advance the trusted-anchor store against the remote fam — the
-        over-the-wire :meth:`LedgerClient.sync_anchors`.
-
-        Epoch 0 is bootstrapped by downloading and re-hashing its raw leaf
-        digests; each later epoch is anchored via its merged-leaf link proof;
-        the live epoch is tracked with consistency proofs so a server that
-        rewrites *any* committed journal is caught on the next sync.
+        over-the-wire :meth:`LedgerClient.sync_anchors`: the same kernel
+        function (:func:`repro.core.verification.sync_anchors`), fed by wire
+        calls, so a server that rewrites *any* committed journal is caught
+        on the next sync.
 
         Raises:
             VerificationFailure: any link fails — nothing unverified is
                 ever anchored.
         """
-        info = self._wait(self._remote.fam_info())
-        completed = info["num_epochs"] - 1
-        added = 0
-        while self.state.anchored_epochs < completed:
-            epoch = self.state.anchored_epochs
-            claimed_root = self._wait(self._remote.epoch_anchor(epoch))
-            if epoch == 0:
-                leaves = self._wait(self._remote.epoch_leaves(0))
-                frontier = FrontierAccumulator()
-                for leaf in leaves:
-                    frontier.append_leaf(leaf)
-                if frontier.root() != claimed_root:
-                    raise VerificationFailure("epoch 0 bootstrap verification failed")
-                self.anchors.add(0, claimed_root)
-            else:
-                link = self._wait(self._remote.epoch_link(epoch))
-                if not self.anchors.advance(epoch, claimed_root, link):
-                    raise VerificationFailure(
-                        f"merged-leaf link for epoch {epoch} failed"
-                    )
-            self.state.anchored_epochs += 1
-            added += 1
-        self._sync_live(info)
-        return added
-
-    def _sync_live(self, info: dict) -> None:
-        current_epoch = info["num_epochs"] - 1
-        live_size = info["live_size"]
-        live_root = bytes(info["live_root"])
-        state = self.state
-        if state.live_root is not None and state.live_size > 0:
-            if state.live_epoch_index == current_epoch:
-                if state.live_size == live_size:
-                    if live_root != state.live_root:
-                        raise VerificationFailure("live commitment changed without appends")
-                elif state.live_size < live_size:
-                    proof = self._wait(self._remote.live_consistency(state.live_size))
-                    if not proof.verify(state.live_root, live_root):
-                        raise VerificationFailure(
-                            "live epoch evolved non-append-only (history rewritten?)"
-                        )
-                else:
-                    raise VerificationFailure("live epoch shrank")
-            else:
-                sealed_epoch = state.live_epoch_index
-                sealed_root = self._wait(self._remote.epoch_anchor(sealed_epoch))
-                proof = self._wait(
-                    self._remote.epoch_consistency(sealed_epoch, state.live_size)
-                )
-                if not proof.verify(state.live_root, sealed_root):
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed_epoch} does not extend the state "
-                        "this client verified"
-                    )
-                anchor = self.anchors.get(sealed_epoch)
-                if anchor is not None and anchor != sealed_root:
-                    raise VerificationFailure(
-                        f"sealed epoch {sealed_epoch} root disagrees with anchor"
-                    )
-        state.live_epoch_index = current_epoch
-        state.live_size = live_size
-        state.live_root = live_root
+        return sync_anchors(self.state, self.anchors, _RemoteFam(self))
 
     # ----------------------------------------------------------- verifying
 
     def verify_journal(self, journal: Journal) -> bool:
         """O(delta) existence verification against the client's own anchors."""
         proof = self.get_proof(journal.jsn, anchored=True)
-        if proof.epoch_index == proof.num_epochs - 1:
-            if self.state.live_root is None:
-                return False
-            try:
-                return (
-                    proof.epoch_proof.computed_root(journal.tx_hash())
-                    == self.state.live_root
-                )
-            except (ValueError, IndexError):
-                return False
-        anchor = self.anchors.get(proof.epoch_index)
-        if anchor is None:
-            return False
-        try:
-            return proof.epoch_proof.computed_root(journal.tx_hash()) == anchor
-        except (ValueError, IndexError):
-            return False
+        return verify_anchored(journal.tx_hash(), proof, self.anchors, self.state.live_root)
 
     def shard_info(self) -> dict:
         """Raw shard-map claim from the server; see :meth:`verify_shard_link`."""
@@ -1025,8 +977,7 @@ class RemoteLedgerClient:
         except LedgerError:
             return False
         proof, claimed_state_root = self._wait(self._remote.prove_clue(clue))
-        digests = {i: journal.tx_hash() for i, journal in enumerate(journals)}
-        return proof.verify(digests, claimed_state_root)
+        return verify_lineage(journals, proof, claimed_state_root)
 
     def prove_clue(self, clue: str) -> tuple[ClueProof, Digest]:
         """The clue proof plus the server's *claimed* CM-Tree1 root."""
@@ -1049,19 +1000,6 @@ class RemoteLedgerClient:
         self, old: SignedTreeHead, new: SignedTreeHead
     ) -> tuple[ConsistencyBundle | None, ConsistencyAssertion]:
         return self._wait(self._remote.get_consistency(old, new))
-
-
-def _coerce_enum(enum_cls: type, value: Any):
-    """Accept the enum member itself or its string value ("tx", "server")."""
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise UsageError(
-            f"{enum_cls.__name__} expected one of "
-            f"{[member.value for member in enum_cls]}, got {value!r}"
-        ) from None
 
 
 class RemoteLedgerSession(SessionHelpers):
@@ -1224,36 +1162,6 @@ class RemoteLedgerSession(SessionHelpers):
     def sync_anchors(self) -> int:
         return self.client.sync_anchors()
 
-    def verify(
-        self,
-        target: VerifyTarget | str,
-        *,
-        key: str | None = None,
-        txdata: list[Journal] | None = None,
-        rho: Any = None,
-        root: bytes | None = None,
-        level: VerifyLevel | str = VerifyLevel.SERVER,
-    ) -> VerifyResult:
-        """The Verify API over the wire, returning structured evidence.
-
-        Same surface as :meth:`LedgerSession.verify`, remote semantics:
-
-        * ``target=TX, level=SERVER`` — the *server* runs the check
-          (advisory: it attests its own ledger);
-        * ``target=TX, level=CLIENT`` — anchors are synced and the proof is
-          folded locally against this client's own anchor store;
-        * ``target=CLUE`` — the lineage proof is folded locally; ``root``
-          pins the caller's trusted CM-Tree1 datum, else the server's
-          claimed state root is used (and reported in the result).
-        """
-        target = _coerce_enum(VerifyTarget, target)
-        level = _coerce_enum(VerifyLevel, level)
-        if target is VerifyTarget.TX:
-            return self._verify_tx(txdata, rho, root, level)
-        if target is VerifyTarget.CLUE:
-            return self._verify_clue(key, txdata, rho, root, level)
-        raise UsageError(f"unsupported verification target: {target}")
-
     def _verify_tx(
         self,
         txdata: list[Journal] | None,
@@ -1298,7 +1206,6 @@ class RemoteLedgerSession(SessionHelpers):
     ) -> VerifyResult:
         if key is None or txdata is None:
             raise UsageError("CLUE verification needs key and txdata")
-        digests = {i: journal.tx_hash() for i, journal in enumerate(txdata)}
         if rho is not None:
             proof, claimed = rho, None
         else:
@@ -1308,7 +1215,7 @@ class RemoteLedgerSession(SessionHelpers):
             raise UsageError(
                 "CLUE verification with a pre-fetched rho needs a trusted root="
             )
-        ok = proof.verify(digests, trusted)
+        ok = verify_lineage(txdata, proof, trusted)
         return VerifyResult(
             ok=ok,
             target=VerifyTarget.CLUE.value,

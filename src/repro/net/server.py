@@ -514,14 +514,14 @@ class LedgerServer:
 
     async def _op_fam_info(self, message: dict) -> dict:
         fam = self.ledger._fam  # the public read path of a real deployment
-        _roots, live_size, _peaks = fam.snapshot()
+        num_epochs, live_size, live_root = fam.live_state()
         return {
             "size": fam.size,
-            "num_epochs": fam.num_epochs,
+            "num_epochs": num_epochs,
             "epoch_capacity": fam.epoch_capacity,
             "fractal_height": fam.fractal_height,
             "live_size": live_size,
-            "live_root": fam.current_root(),
+            "live_root": live_root,
         }
 
     async def _op_epoch_anchor(self, message: dict) -> dict:
@@ -534,15 +534,10 @@ class LedgerServer:
         return {"proof": proof.to_bytes()}
 
     async def _op_epoch_leaves(self, message: dict) -> dict:
-        fam = self.ledger._fam
         epoch = _require_int(message.get("epoch"), "epoch")
         if epoch != 0:
             raise UsageError("only epoch 0 is bootstrapped from raw leaves")
-
-        def leaves():
-            return [fam.leaf_digest(jsn) for jsn in range(fam.epoch_capacity)]
-
-        return {"digests": await self._run(leaves)}
+        return {"digests": await self._run(self.ledger._fam.epoch_zero_leaves)}
 
     async def _op_live_consistency(self, message: dict) -> dict:
         old_size = _require_int(message.get("old_size"), "old_size")

@@ -30,8 +30,9 @@ The contract the protocol pins down (DESIGN.md §11/§16):
   ``get_consistency`` / ``append_acked``) is part of the session, so
   non-equivocation auditing needs no side channel.
 
-:class:`SessionHelpers` is the shared ABC-style mixin: context management
-and argument normalisation live here once instead of per transport.
+:class:`SessionHelpers` is the shared ABC-style mixin: context management,
+argument normalisation and the ``verify`` dispatcher live here once instead
+of per transport.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
+from .artifacts import VerifyLevel, VerifyResult, VerifyTarget
 from .core.errors import UsageError
 
 if TYPE_CHECKING:
     from .core.journal import ClientRequest, Journal
     from .core.receipt import Receipt
-    from .core.verification import VerifyResult
     from .crypto.keys import KeyPair
     from .export.bundle import ExportBundle
     from .transparency.censorship import SubmissionAck
@@ -211,9 +212,10 @@ class VerifyingSession(Protocol):
 class SessionHelpers:
     """Shared behaviour for :class:`VerifyingSession` implementations.
 
-    Context management and argument normalisation are transport-independent;
-    both session classes inherit them from here so the protocol surface
-    cannot drift apart by accident.
+    Context management, argument normalisation and the ``verify`` dispatcher
+    are transport-independent; both session classes inherit them from here
+    so the protocol surface cannot drift apart by accident.  Each transport
+    supplies ``_verify_tx`` and ``_verify_clue``.
     """
 
     #: Implementations override with their transport name, used in the
@@ -237,3 +239,56 @@ class SessionHelpers:
             raise UsageError("pass clue= or clues=, not both")
         return tuple(clues) if clues is not None else ((clue,) if clue else ())
 
+    @staticmethod
+    def _coerce(enum_cls: type, value: Any):
+        """Accept the enum member itself or its string value ("tx", "server")."""
+        if isinstance(value, enum_cls):
+            return value
+        try:
+            return enum_cls(value)
+        except ValueError:
+            raise UsageError(
+                f"{enum_cls.__name__} expected one of "
+                f"{[member.value for member in enum_cls]}, got {value!r}"
+            ) from None
+
+    def verify(
+        self,
+        target: VerifyTarget | str,
+        *,
+        key: str | None = None,
+        txdata: list[Journal] | None = None,
+        rho: Any = None,
+        root: bytes | None = None,
+        level: VerifyLevel | str = VerifyLevel.SERVER,
+    ) -> VerifyResult:
+        """The Verify API (§IV-C), returning structured evidence.
+
+        * ``target=TX`` — existence of the single journal in ``txdata[0]``;
+          ``rho`` optionally carries a pre-fetched fam proof.  At
+          ``level=SERVER`` the server runs the check (advisory over the
+          wire: it attests its own ledger); at ``level=CLIENT`` the proof is
+          folded locally — against ``root`` or the latest receipt's ledger
+          root in process, against this client's synced anchor store
+          remotely.
+        * ``target=CLUE`` — N-lineage verification of clue ``key`` over
+          ``txdata`` (all related journals, in order); ``rho`` optionally
+          carries a pre-fetched :class:`~repro.merkle.cmtree.ClueProof`;
+          ``root`` is the caller's trusted CM-Tree1 datum, else the
+          (server's claimed) state root is used and reported in the result.
+
+        Returns a :class:`VerifyResult` (truthy iff the check passed)
+        carrying the proof used and the trusted root.  A *failed* check is a
+        falsy result, not an exception.
+
+        Raises:
+            UsageError: bad target/level, wrong ``txdata`` shape, missing
+                ``key``, or no trusted root available.
+        """
+        target = self._coerce(VerifyTarget, target)
+        level = self._coerce(VerifyLevel, level)
+        if target is VerifyTarget.TX:
+            return self._verify_tx(txdata, rho, root, level)
+        if target is VerifyTarget.CLUE:
+            return self._verify_clue(key, txdata, rho, root, level)
+        raise UsageError(f"unsupported verification target: {target}")
